@@ -11,16 +11,10 @@ Usage: python scripts/oracle_bench.py [--range N] [--samples K] [--seed S]
 import argparse
 import json
 import os
-import random
 import time
 
 from ncample.bimodule_system import load_system
-from ncample.section_oracle import (
-    bergman_check,
-    hilbert_match,
-    load_oracle,
-    opposite_check,
-)
+from ncample.section_oracle import cross_validate, load_oracle
 
 DEFAULT_DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -31,29 +25,20 @@ def bench(path: str, grade_range: int, samples: int, seed: int) -> bool:
     system = load_system(doc)
     ring = load_oracle(doc)
     started = time.monotonic()
-    match = hilbert_match(ring, system, grade_range)
-    rng = random.Random(seed)
-    assoc_bad = 0
-    for _ in range(samples):
-        grades = [tuple(rng.randint(0, 2) for _ in range(ring.s))
-                  for _ in range(3)]
-        a, b, c = (ring.random_element(g, rng) for g in grades)
-        lhs = ring.multiply(ring.multiply(a, b), c)
-        rhs = ring.multiply(a, ring.multiply(b, c))
-        if lhs.grade != rhs.grade or lhs.section != rhs.section:
-            assoc_bad += 1
-    opp = opposite_check(ring, max_grade_entry=2, samples=max(10, samples // 10),
-                         seed=seed)
-    slots = tuple(i % ring.s for i in range(3))
-    hexagon = bergman_check(ring, slots)
+    report = cross_validate(
+        ring, system, grade_range=grade_range, samples=samples,
+        opposite_samples=max(10, samples // 10), seed=seed,
+        triple=tuple(i % ring.s for i in range(3)))
     elapsed = time.monotonic() - started
-    ok = match.ok and assoc_bad == 0 and opp and hexagon
-    status = "ok" if ok else "MISMATCH"
-    print(f"{os.path.basename(path):<26} grades={match.checked:<4} "
-          f"skipped={match.skipped:<3} assoc_bad={assoc_bad:<3} "
-          f"opposite={'y' if opp else 'N'} hexagon={'y' if hexagon else 'N'} "
+    match = report["hilbert"]
+    status = "ok" if report["ok"] else "MISMATCH"
+    print(f"{os.path.basename(path):<26} grades={match['checked']:<4} "
+          f"skipped={match['skipped']:<3} "
+          f"assoc_bad={report['associativity']['failures']:<3} "
+          f"opposite={'y' if report['opposite_ok'] else 'N'} "
+          f"hexagon={'y' if report['bergman_ok'] else 'N'} "
           f"{elapsed * 1000:6.0f} ms  {status}")
-    return ok
+    return report["ok"]
 
 
 def main() -> int:

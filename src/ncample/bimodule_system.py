@@ -8,14 +8,13 @@ pairwise commutation of the actions and of the twisted classes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
                      NonInvertible, ParseError, UnipotentRequired)
 from .lattice_algebra import Matrix, geometric_sum, nilpotency_degree
 from .numeric_polynomials import MultiPoly
-from .scheme_model import (DivisorClass, NumericalScheme, as_coords,
+from .scheme_model import (DivisorClass, NumericalScheme, _as_dict, as_coords,
                            load_scheme)
 
 
@@ -294,7 +293,7 @@ def _block_diag(a: Matrix, b: Matrix) -> Matrix:
 
 def load_system(document) -> BimoduleSystem:
     """Read a scheme-plus-bimodules JSON document."""
-    doc = _doc_dict(document)
+    doc = _as_dict(document)
     scheme = load_scheme(doc)
     if "bimodules" not in doc or not doc["bimodules"]:
         raise ParseError("document has no bimodules member")
@@ -320,16 +319,3 @@ def system_to_document(sys: BimoduleSystem) -> dict:
         doc["bimodules"].append(entry)
     return doc
 
-
-def _doc_dict(document) -> dict:
-    if isinstance(document, dict):
-        return document
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError("top-level JSON value must be an object")
-        return doc
-    raise ParseError(f"cannot read a document from {type(document).__name__}")

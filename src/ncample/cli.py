@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 import warnings
@@ -20,7 +19,7 @@ from .ampleness import DEFAULT_SEARCH_BOUND, nc_ample_verdict, sigma_ample_verdi
 from .errors import NcampleError, NotNCAmple, ParseError
 from .gk_dimension import gk
 from .scheme_model import builtin_scheme, load_scheme
-from .section_oracle import bergman_check, hilbert_match, load_oracle, opposite_check
+from .section_oracle import cross_validate, load_oracle
 
 _BUILTIN_PREFIX = "builtin:"
 
@@ -252,35 +251,12 @@ def _cmd_oracle_compare(args, report) -> int:
     report["input"] = meta
     system = bs.load_system(doc)
     ring = load_oracle(doc)
-    match = hilbert_match(ring, system, args.grade_range)
-    rng = random.Random(args.seed)
-    samples = 50
-    assoc_failures = 0
-    for _ in range(samples):
-        n = tuple(rng.randint(0, 2) for _ in range(ring.s))
-        m = tuple(rng.randint(0, 2) for _ in range(ring.s))
-        k = tuple(rng.randint(0, 2) for _ in range(ring.s))
-        a = ring.random_element(n, rng)
-        b = ring.random_element(m, rng)
-        c = ring.random_element(k, rng)
-        lhs = ring.multiply(ring.multiply(a, b), c)
-        rhs = ring.multiply(a, ring.multiply(b, c))
-        if lhs.grade != rhs.grade or lhs.section != rhs.section:
-            assoc_failures += 1
-    opposite_ok = opposite_check(ring, max_grade_entry=2, samples=25,
-                                 seed=args.seed)
-    payload = {
-        "hilbert": match.to_json(),
-        "associativity": {"samples": samples, "failures": assoc_failures},
-        "opposite_ok": opposite_ok,
-    }
-    if ring.s >= 3:
-        payload["bergman_ok"] = bergman_check(ring, (0, 1, 2))
-    ok = (match.ok and assoc_failures == 0 and opposite_ok
-          and payload.get("bergman_ok", True))
-    payload["ok"] = ok
+    payload = cross_validate(
+        ring, system, grade_range=args.grade_range, samples=50,
+        opposite_samples=25, seed=args.seed,
+        triple=(0, 1, 2) if ring.s >= 3 else None)
     report["payload"] = payload
-    return 0 if ok else 1
+    return 0 if payload["ok"] else 1
 
 
 def _render_text(report: dict) -> str:

@@ -155,12 +155,6 @@ def section_space_dim(multidegree) -> int:
     return result
 
 
-def higher_cohomology_vanishes(multidegree) -> bool:
-    """On a product of lines, positive-degree cohomology vanishes exactly
-    when every factor degree is at least -1."""
-    return all(int(a) >= -1 for a in multidegree)
-
-
 @dataclass(frozen=True)
 class MultiSection:
     """Element of the section space of one multidegree, exact coefficients."""
@@ -332,21 +326,32 @@ class OracleRing:
     def graded_multidegree(self, n) -> tuple[int, ...]:
         """Multidegree of the expanded product bundle at grade n.
 
-        Built by walking the product left to right: each factor contributes
-        its orbit of pullbacks of its own bundle under its own automorphism,
-        all twisted by everything to its left.
+        The product is the ordering that repeats bundle a n_a times, in
+        bundle order: each factor is twisted by everything to its left.
         """
         nv = tuple(int(x) for x in n)
-        assert len(nv) == self.s and all(x >= 0 for x in nv)
+        if len(nv) != self.s or any(x < 0 for x in nv):
+            raise ParseError(
+                f"grade {list(nv)} needs {self.s} nonnegative entries")
+        return self._multidegree_along(
+            itertools.chain.from_iterable(
+                itertools.repeat(a, n_a) for a, n_a in enumerate(nv)))
+
+    def _multidegree_along(self, ordering) -> tuple[int, ...]:
+        """Sum of the divisors along a sequence of bundle indices, each moved
+        by the twists before it.
+
+        Multidegrees see only the permutation part of a twist, so the walk
+        composes permutations the way FactorAutomorphism.compose does and
+        moves a divisor the way lattice_matrix().apply does.
+        """
         total = [0] * self.d
-        prefix = FactorAutomorphism.identity(self.d)
-        for (deg, sigma), n_a in zip(self.pairs, nv):
-            inner = FactorAutomorphism.identity(self.d)
-            for _ in range(n_a):
-                step = prefix.compose(inner).lattice_matrix().apply(deg)
-                total = [t + x for t, x in zip(total, step)]
-                inner = inner.compose(sigma)
-            prefix = prefix.compose(sigma.power(n_a))
+        perm = tuple(range(self.d))
+        for a in ordering:
+            deg, sigma = self.pairs[a]
+            for k, x in enumerate(deg):
+                total[perm[k]] += x
+            perm = tuple(sigma.perm[p] for p in perm)
         return tuple(total)
 
     def graded_piece(self, n) -> GradedPiece:
@@ -445,62 +450,40 @@ def opposite_check(ring: OracleRing, max_grade_entry: int = 4,
     return True
 
 
-def _ordering_multidegree(ring: OracleRing, ordering) -> tuple[int, ...]:
-    total = [0] * ring.d
-    prefix = FactorAutomorphism.identity(ring.d)
-    for idx in ordering:
-        deg, sigma = ring.pairs[idx]
-        step = prefix.lattice_matrix().apply(deg)
-        total = [t + x for t, x in zip(total, step)]
-        prefix = prefix.compose(sigma)
-    return tuple(total)
-
-
 def bergman_check(ring: OracleRing, triple) -> bool:
     """Coherence hexagon for the canonical reordering identifications.
 
     Each adjacent transposition is the canonical identification of the two
     expanded bundles; it exists only when their multidegrees agree and the
-    accumulated twists match projectively.  Both composites are applied to
-    the full monomial basis and compared exactly.
+    accumulated twists match projectively.  Canonical identifications
+    compose to canonical identifications, so the hexagon commutes exactly
+    when every edge on both paths exists.
     """
+    if len(triple) != 3 or not all(0 <= t < ring.s for t in triple):
+        raise ParseError(f"triple {list(triple)} needs three bundle indices "
+                         f"in [0, {ring.s})")
     i, j, k = triple
-    assert all(0 <= t < ring.s for t in (i, j, k)), "bundle index out of range"
 
-    def edge(source_ord, target_ord, sections):
-        sdeg = _ordering_multidegree(ring, source_ord)
-        tdeg = _ordering_multidegree(ring, target_ord)
-        if sdeg != tdeg:
-            return None
-        s_twist = FactorAutomorphism.identity(ring.d)
-        for idx in source_ord:
-            s_twist = s_twist.compose(ring.pairs[idx][1])
-        t_twist = FactorAutomorphism.identity(ring.d)
-        for idx in target_ord:
-            t_twist = t_twist.compose(ring.pairs[idx][1])
-        if s_twist.perm != t_twist.perm:
-            return None
-        if not all(_mob_projectively_equal(x, y)
-                   for x, y in zip(s_twist.mobius, t_twist.mobius)):
-            return None
-        return sections  # canonical identification on the common degree
+    def twist(ordering) -> FactorAutomorphism:
+        result = FactorAutomorphism.identity(ring.d)
+        for idx in ordering:
+            result = result.compose(ring.pairs[idx][1])
+        return result
+
+    def edge_exists(source_ord, target_ord) -> bool:
+        if (ring._multidegree_along(source_ord)
+                != ring._multidegree_along(target_ord)):
+            return False
+        s_twist, t_twist = twist(source_ord), twist(target_ord)
+        return s_twist.perm == t_twist.perm and all(
+            _mob_projectively_equal(x, y)
+            for x, y in zip(s_twist.mobius, t_twist.mobius))
 
     left_path = [(k, j, i), (j, k, i), (j, i, k), (i, j, k)]
     right_path = [(k, j, i), (k, i, j), (i, k, j), (i, j, k)]
-    start = _ordering_multidegree(ring, left_path[0])
-    basis = [MultiSection.monomial(start, key) for key in monomial_basis(start)]
-    lhs = list(basis)
-    for a, b in zip(left_path, left_path[1:]):
-        lhs = edge(a, b, lhs)
-        if lhs is None:
-            return False
-    rhs = list(basis)
-    for a, b in zip(right_path, right_path[1:]):
-        rhs = edge(a, b, rhs)
-        if rhs is None:
-            return False
-    return all(x.multidegree == y.multidegree and x.terms == y.terms
-               for x, y in zip(lhs, rhs))
+    return all(edge_exists(a, b)
+               for path in (left_path, right_path)
+               for a, b in zip(path, path[1:]))
 
 
 @dataclass(frozen=True)
@@ -537,6 +520,42 @@ def hilbert_match(ring: OracleRing, sys: BimoduleSystem, upto: int) -> MatchRepo
         if piece.dim != expected:
             mismatches.append((n, piece.dim, expected))
     return MatchReport(checked, skipped, tuple(mismatches))
+
+
+def cross_validate(ring: OracleRing, sys: BimoduleSystem, *, grade_range: int,
+                   samples: int, opposite_samples: int, seed: int,
+                   triple) -> dict:
+    """Every oracle check against one system, as a JSON-ready report.
+
+    Dimensions on [1, grade_range]^s, `samples` random associativity
+    triples with grade entries in [0, 2], the opposite-ring check, and the
+    hexagon on `triple` unless it is None.  One seed drives both the
+    triples and the opposite check.
+    """
+    if grade_range < 1:
+        raise ParseError(f"grade range must be at least 1, got {grade_range}")
+    match = hilbert_match(ring, sys, grade_range)
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(samples):
+        grades = [tuple(rng.randint(0, 2) for _ in range(ring.s))
+                  for _ in range(3)]
+        a, b, c = (ring.random_element(g, rng) for g in grades)
+        lhs = ring.multiply(ring.multiply(a, b), c)
+        rhs = ring.multiply(a, ring.multiply(b, c))
+        if lhs.grade != rhs.grade or lhs.section != rhs.section:
+            failures += 1
+    report = {
+        "hilbert": match.to_json(),
+        "associativity": {"samples": samples, "failures": failures},
+        "opposite_ok": opposite_check(ring, max_grade_entry=2,
+                                      samples=opposite_samples, seed=seed),
+    }
+    if triple is not None:
+        report["bergman_ok"] = bergman_check(ring, triple)
+    report["ok"] = (match.ok and failures == 0 and report["opposite_ok"]
+                    and report.get("bergman_ok", True))
+    return report
 
 
 def load_oracle(document) -> OracleRing:

@@ -28,13 +28,7 @@ from ncample.bimodule_system import class_at, dual, product, rees, symbolic_clas
 from ncample.errors import GeometricRealizabilityWarning
 from ncample.gk_dimension import gk
 from ncample.lattice_algebra import Matrix, is_quasi_unipotent
-from ncample.section_oracle import (
-    FactorAutomorphism,
-    OracleRing,
-    bergman_check,
-    hilbert_match,
-    opposite_check,
-)
+from ncample.section_oracle import FactorAutomorphism, OracleRing, cross_validate
 
 BOUND = 8
 
@@ -193,20 +187,11 @@ def test_criterion_09_oracle_cross_validation():
     ok = True
     triples = 0
     for name, ring in rings:
-        match = hilbert_match(ring, ring.numerical_shadow(), 6)
-        ok = ok and match.ok and match.skipped == 0
-        rng = random.Random(99)
-        for _ in range(334):
-            grades = [tuple(rng.randint(0, 2) for _ in range(ring.s))
-                      for _ in range(3)]
-            a, b, c = (ring.random_element(g, rng) for g in grades)
-            lhs = ring.multiply(ring.multiply(a, b), c)
-            rhs = ring.multiply(a, ring.multiply(b, c))
-            ok = ok and lhs.grade == rhs.grade and lhs.section == rhs.section
-            triples += 1
-        ok = ok and opposite_check(ring, max_grade_entry=2, samples=40, seed=3)
-        slots = tuple(i % ring.s for i in range(3))
-        ok = ok and bergman_check(ring, slots)
+        report = cross_validate(ring, ring.numerical_shadow(), grade_range=6,
+                                samples=334, opposite_samples=40, seed=99,
+                                triple=tuple(i % ring.s for i in range(3)))
+        ok = ok and report["ok"] and report["hilbert"]["skipped"] == 0
+        triples += report["associativity"]["samples"]
     stamp(ok and triples >= 1000,
           f"criterion 9: oracle dimensions, {triples} associativity triples, "
           "opposite and reordering coherence all exact")

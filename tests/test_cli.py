@@ -238,6 +238,13 @@ class TestOracleCompare:
         assert code == 1
         assert "error" in report["payload"]
 
+    def test_empty_range_rejected(self):
+        for bad in ("0", "-1"):
+            code, report = run(["oracle", "compare", data("swap-ring.json"),
+                                "--range", bad])
+            assert code == 1, bad
+            assert "grade range" in report["payload"]["error"]
+
 
 class TestReportShape:
     def test_deterministic_modulo_timing(self):
