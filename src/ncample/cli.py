@@ -171,24 +171,32 @@ def _cmd_validate(args, report) -> int:
     return 0
 
 
+def _search_bound(args) -> int:
+    if args.bound < 0:
+        raise ParseError(f"--bound must be >= 0, got {args.bound}")
+    return args.bound
+
+
 def _cmd_verdict(args, report) -> int:
+    bound = _search_bound(args)
     doc, meta = _load_input(args.input, args.scheme)
     report["input"] = meta
     system = bs.load_system(doc)
     if args.single:
-        verdict = sigma_ample_verdict(system, search_bound=args.bound)
+        verdict = sigma_ample_verdict(system, search_bound=bound)
     else:
-        verdict = nc_ample_verdict(system, search_bound=args.bound)
+        verdict = nc_ample_verdict(system, search_bound=bound)
     report["payload"] = verdict.to_json()
     return 0 if verdict.decisive else 2
 
 
 def _cmd_gk(args, report) -> int:
+    bound = _search_bound(args)
     doc, meta = _load_input(args.input, args.scheme)
     report["input"] = meta
     system = bs.load_system(doc)
     try:
-        cert = gk(system, search_bound=args.bound)
+        cert = gk(system, search_bound=bound)
     except NotNCAmple as exc:
         report["payload"] = {"error": str(exc), "verdict_kind": exc.verdict_kind}
         print(f"ncample: {exc}", file=sys.stderr)

@@ -37,11 +37,17 @@ class NotIntegerValued(NcampleError):
 
 
 class EmptyCone(NcampleError):
-    """No interior integer point was found for a cone within the search radius."""
+    """A cone of strict inequalities A x > 0 has no interior point.
 
-    def __init__(self, radius):
-        self.radius = radius
-        super().__init__(f"no interior integer point within max-norm radius {radius}")
+    certificate is Gordan's alternative: integers y >= 0, not all zero, one
+    per row of A, with y^T A = 0 exactly, so no x makes every row positive.
+    """
+
+    def __init__(self, certificate):
+        self.certificate = tuple(certificate)
+        super().__init__(
+            f"ample cone is empty: row multipliers {list(self.certificate)} "
+            f"are >= 0 and sum the rows to zero")
 
 
 class MatrixCommutationFail(NcampleError):

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotIntegerValued
+from .errors import NotIntegerValued, ParseError
 
 Exponents = tuple[int, ...]
 
@@ -423,7 +423,8 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
     rays with strictly positive direction entries whose restriction has a
     negative leading coefficient.
     """
-    assert search_bound >= 0
+    if search_bound < 0:
+        raise ParseError(f"search bound must be >= 0, got {search_bound}")
     s = p.nvars
     if p.is_zero():
         return PositivityResult("unknown", bound=search_bound)

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyCone, ParseError
 from .numeric_polynomials import MultiPoly
-
-DEFAULT_CONE_SEARCH_RADIUS = 8
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,9 @@ class DivisorClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        assert all(isinstance(c, int) for c in self.coords)
+        if not all(isinstance(c, int) and not isinstance(c, bool)
+                   for c in self.coords):
+            raise ParseError(f"divisor class needs integer coordinates, got {self.coords}")
 
     def __len__(self):
         return len(self.coords)
@@ -38,6 +39,17 @@ class DivisorClass:
 
     def __add__(self, other):
         return DivisorClass(tuple(a + b for a, b in zip(self.coords, tuple(other))))
+
+
+def _strict_int(value, what: str) -> int:
+    """An int, or a string spelling one; bools, floats and anything else
+    raise ParseError instead of being truncated."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
 def as_coords(vec) -> tuple[int, ...]:
@@ -58,10 +70,9 @@ class NumericalScheme:
 
     @staticmethod
     def build(name, dim, rho, euler, cone, note="",
-              search_radius=DEFAULT_CONE_SEARCH_RADIUS,
               interior_hint=None) -> "NumericalScheme":
-        dim = int(dim)
-        rho = int(rho)
+        dim = _strict_int(dim, "dim")
+        rho = _strict_int(rho, "rho")
         if dim < 0:
             raise ParseError(f"dim must be >= 0, got {dim}")
         if rho < 1:
@@ -71,7 +82,11 @@ class NumericalScheme:
         if euler.total_degree() > dim:
             raise ParseError(
                 f"euler polynomial degree {euler.total_degree()} exceeds dim {dim}")
-        rows = tuple(tuple(int(e) for e in row) for row in cone)
+        try:
+            rows = tuple(tuple(_strict_int(e, "ample cone entry") for e in row)
+                         for row in cone)
+        except TypeError as exc:
+            raise ParseError(f"ample cone must be a list of rows: {exc}") from exc
         if not rows:
             raise ParseError("ample cone needs at least one functional")
         for row in rows:
@@ -80,15 +95,14 @@ class NumericalScheme:
         if interior_hint is not None and _strictly_positive(rows, tuple(interior_hint)):
             interior = tuple(interior_hint)
         else:
-            interior = _find_interior_point(rows, rho, search_radius)
-            if interior is None:
-                raise EmptyCone(search_radius)
+            interior = _find_interior_point(rows, rho)
         return NumericalScheme(str(name), dim, rho, euler, rows, interior, str(note))
 
     def is_ample(self, c) -> bool:
         """Strict positivity of every cone functional at the class c."""
         v = as_coords(c)
-        assert len(v) == self.rho
+        if len(v) != self.rho:
+            raise ParseError(f"class {v} has length {len(v)}, expected {self.rho}")
         return all(sum(r * x for r, x in zip(row, v)) > 0 for row in self.cone)
 
     def euler_at(self, c) -> int:
@@ -113,27 +127,113 @@ def _strictly_positive(rows, point) -> bool:
     return all(sum(r * x for r, x in zip(row, point)) > 0 for row in rows)
 
 
-def _find_interior_point(rows, rho, radius):
-    for shell in range(1, radius + 1):
-        for point in itertools.product(range(-shell, shell + 1), repeat=rho):
-            if max(abs(x) for x in point) != shell:
-                continue
-            if _strictly_positive(rows, point):
-                return point
-    return None
+def _find_interior_point(rows, rho):
+    """The first point of itertools.product(range(-R, R + 1), repeat=rho)
+    with every row strictly positive, for the least R that has one.
+
+    Raises EmptyCone, with a Gordan certificate, when no real point has."""
+    bounding = _project(rows, rho)
+    # a nonempty open cone holds integer points, so the walk ends
+    for radius in itertools.count(1):
+        point = _first_in_box(rows, bounding, radius)
+        if point is not None:
+            return point
 
 
-def load_scheme(document, search_radius=DEFAULT_CONE_SEARCH_RADIUS) -> NumericalScheme:
+def _project(rows, rho) -> list[list[tuple[int, ...]]]:
+    """Fourier-Motzkin elimination of x[rho-1], ..., x[0] from rows . x > 0.
+
+    Returns, for each i, the derived rows that bound x[i]: they involve
+    x[0..i] only, and x[0..i-1] extends to a real point of the cone exactly
+    when some x[i] makes every row bounding x[0..i] positive.  Derived rows
+    are kept primitive with multipliers y >= 0 such that row == y^T A
+    exactly; a derived zero row makes y a Gordan certificate that the cone
+    is empty."""
+    system: dict = {}
+    for i, row in enumerate(rows):
+        _keep(system, row, tuple(Fraction(int(k == i)) for k in range(len(rows))))
+    bounding = [[] for _ in range(rho)]
+    for done, j in enumerate(reversed(range(rho)), start=1):
+        eliminated = [(row, y) for (row, _), y in system.items() if row[j]]
+        system = {key: y for key, y in system.items() if not key[0][j]}
+        for p, yp in eliminated:
+            for n, yn in eliminated:
+                if p[j] > 0 > n[j]:
+                    y = tuple(-n[j] * u + p[j] * v for u, v in zip(yp, yn))
+                    # Chernikov's rule: after `done` eliminations a row that
+                    # combines more than done + 1 input rows is implied by
+                    # the rows that combine fewer, so it can go
+                    if sum(1 for c in y if c) <= done + 1:
+                        _keep(system, tuple(-n[j] * a + p[j] * b
+                                            for a, b in zip(p, n)), y)
+        bounding[j] = list(dict.fromkeys(row for row, _ in eliminated))
+    return bounding
+
+
+def _keep(system, row, y) -> None:
+    """Store row primitive, keyed with the input rows it combines: two rows
+    equal as vectors but built from different inputs both stay, since
+    Chernikov's rule counts inputs."""
+    g = math.gcd(*row)
+    if g == 0:
+        scale = math.lcm(*(c.denominator for c in y))
+        ints = [int(c * scale) for c in y]
+        g = math.gcd(*ints)
+        raise EmptyCone(tuple(c // g for c in ints))
+    support = frozenset(k for k, c in enumerate(y) if c)
+    system.setdefault((tuple(a // g for a in row), support),
+                      tuple(c / g for c in y))
+
+
+def _first_in_box(rows, bounding, radius):
+    """Depth-first search, in itertools.product order, for the first point of
+    [-radius, radius]^rho with every row strictly positive, or None.
+
+    Coordinate i only takes the values that keep x[0..i] inside the
+    projection of the cone (bounding[i]) and leave every row able to become
+    positive when the later coordinates add the most the box allows."""
+    rho = len(bounding)
+    # reach[i][r]: the most that coordinates i+1.. can add to row r
+    reach = [[radius * sum(abs(a) for a in row[i + 1:]) for row in rows]
+             for i in range(rho)]
+    point: list[int] = []
+
+    def extend() -> bool:
+        i = len(point)
+        if i == rho:
+            return True
+        lo, hi = -radius, radius
+        for row, rest in itertools.chain(zip(bounding[i], itertools.repeat(0)),
+                                         zip(rows, reach[i])):
+            # need row[i] * x + c > 0
+            c = sum(a * x for a, x in zip(row, point)) + rest
+            if row[i] > 0:
+                lo = max(lo, -((c - 1) // row[i]))
+            elif row[i] < 0:
+                hi = min(hi, (c - 1) // -row[i])
+            elif c <= 0:
+                return False
+        for x in range(lo, hi + 1):
+            point.append(x)
+            if extend():
+                return True
+            point.pop()
+        return False
+
+    return tuple(point) if extend() else None
+
+
+def load_scheme(document) -> NumericalScheme:
     """Build a scheme model from a JSON document (dict or JSON text)."""
     doc = _as_dict(document)
     for key in ("name", "dim", "rho", "euler", "ample_cone"):
         if key not in doc:
             raise ParseError(f"missing required member {key!r}")
     try:
-        rho = int(doc["rho"])
+        rho = _strict_int(doc["rho"], "rho")
         monomials = {}
         for term in doc["euler"]:
-            expts = tuple(int(e) for e in term["exponents"])
+            expts = tuple(_strict_int(e, "euler exponent") for e in term["exponents"])
             if len(expts) != rho or any(e < 0 for e in expts):
                 raise ParseError(f"bad euler exponents {list(expts)}")
             coeff = Fraction(str(term["coeff"]))
@@ -145,7 +245,7 @@ def load_scheme(document, search_radius=DEFAULT_CONE_SEARCH_RADIUS) -> Numerical
     euler = MultiPoly.from_monomials(rho, monomials)
     return NumericalScheme.build(
         doc["name"], doc["dim"], rho, euler, doc["ample_cone"],
-        note=doc.get("note", ""), search_radius=search_radius)
+        note=doc.get("note", ""))
 
 
 def _as_dict(document) -> dict:

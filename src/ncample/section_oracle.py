@@ -24,7 +24,8 @@ Mob = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 def _mob(rows) -> Mob:
     m = tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
-    assert len(m) == 2 and all(len(r) == 2 for r in m)
+    if len(m) != 2 or any(len(r) != 2 for r in m):
+        raise ParseError(f"a Moebius matrix is 2x2, got {rows}")
     return m
 
 
@@ -69,10 +70,15 @@ class FactorAutomorphism:
 
     def __post_init__(self):
         d = len(self.perm)
-        assert sorted(self.perm) == list(range(d)), "perm must be a permutation"
-        assert len(self.mobius) == d
+        if sorted(self.perm) != list(range(d)):
+            raise ParseError(f"perm {[p + 1 for p in self.perm]} is not a permutation "
+                             f"of 1..{d}")
+        if len(self.mobius) != d:
+            raise ParseError(f"{len(self.mobius)} Moebius maps for {d} factors")
         for g in self.mobius:
-            assert g[0][0] * g[1][1] - g[0][1] * g[1][0] != 0, "singular Moebius matrix"
+            if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 0:
+                raise ParseError(f"singular Moebius matrix "
+                                 f"{[[str(x) for x in row] for row in g]}")
 
     @property
     def d(self) -> int:

@@ -1,4 +1,5 @@
-"""Shared golden systems and the seeded random corpus used across the suite.
+"""Shared golden systems and the seeded random corpus used across the suite,
+and a runner for scripts under python -O.
 
 Corpus actions are restricted to lattice actions of honest automorphisms of
 the host models (factor permutations, identities, and the hyperbolic matrix
@@ -9,7 +10,10 @@ matrix entries stay within [-3, 3].
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 
 from ncample.bimodule_system import BimoduleSystem, make_system
@@ -17,6 +21,19 @@ from ncample.lattice_algebra import Matrix
 from ncample.scheme_model import builtin_scheme, p1_power_scheme
 
 SEED = 20260816
+
+
+def run_optimized(script: str) -> list[str]:
+    """Run script under python -O, which strips asserts, against this
+    checkout's src/, and return the words it printed."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def perm_matrix(perm) -> Matrix:

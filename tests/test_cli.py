@@ -89,6 +89,12 @@ class TestVerdict:
         assert code == 0
         assert report["payload"]["search_bound"] == 4
 
+    def test_negative_bound_rejected(self):
+        for command in ("verdict", "gk"):
+            code, report = run([command, data("p1-O1.json"), "--bound", "-1"])
+            assert code == 1, command
+            assert "--bound" in report["payload"]["error"]
+
     def test_realizability_warning_recorded(self):
         code, report = run(["verdict", data("unipotent-warning.json")])
         assert code == 0

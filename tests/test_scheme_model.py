@@ -1,7 +1,11 @@
+import itertools
 import json
+import random
+import time
 
 import pytest
 
+from corpus import run_optimized
 from ncample.errors import EmptyCone, NotIntegerValued, ParseError
 from ncample.scheme_model import (
     DivisorClass,
@@ -10,6 +14,32 @@ from ncample.scheme_model import (
     load_scheme,
     p1_power_scheme,
 )
+
+
+def cone_scheme(rows):
+    rho = len(rows[0])
+    return load_scheme({"name": "cone", "dim": rho, "rho": rho,
+                        "euler": [{"coeff": "1", "exponents": [0] * rho}],
+                        "ample_cone": rows})
+
+
+def shell_walk_interior_point(rows, rho, radius=8):
+    """Reference for the cone search: every lattice point shell by shell,
+    in itertools.product order, out to a fixed radius."""
+    for shell in range(1, radius + 1):
+        for point in itertools.product(range(-shell, shell + 1), repeat=rho):
+            if max(abs(x) for x in point) != shell:
+                continue
+            if all(sum(a * x for a, x in zip(row, point)) > 0 for row in rows):
+                return point
+    return None
+
+
+def assert_gordan(rows, y):
+    assert len(y) == len(rows)
+    assert all(isinstance(c, int) and c >= 0 for c in y) and any(y)
+    for j in range(len(rows[0])):
+        assert sum(c * row[j] for c, row in zip(y, rows)) == 0
 
 
 class TestBuiltins:
@@ -103,8 +133,10 @@ class TestLoadScheme:
                "euler": [{"coeff": "1", "exponents": [0]},
                          {"coeff": "1", "exponents": [1]}],
                "ample_cone": [[1], [-1]]}
-        with pytest.raises(EmptyCone):
+        with pytest.raises(EmptyCone) as info:
             load_scheme(doc)
+        assert info.value.certificate == (1, 1)
+        assert "empty" in str(info.value)
 
     def test_euler_degree_exceeds_dim(self):
         doc = {"name": "x", "dim": 1, "rho": 1,
@@ -119,3 +151,94 @@ class TestLoadScheme:
             load_scheme("[1, 2]")
         with pytest.raises(ParseError):
             load_scheme("{broken")
+
+
+class TestConeSearch:
+    def test_matches_shell_walk(self):
+        rng = random.Random(2024)
+        outcomes = {"same": 0, "beyond": 0, "empty": 0}
+        for _ in range(600):
+            rho = rng.randint(1, 3)
+            rows = [[rng.randint(-3, 3) for _ in range(rho)]
+                    for _ in range(rng.randint(1, 5))]
+            want = shell_walk_interior_point(rows, rho)
+            try:
+                got = cone_scheme(rows).interior_point
+            except EmptyCone as exc:
+                assert want is None, rows
+                assert_gordan(rows, exc.certificate)
+                outcomes["empty"] += 1
+                continue
+            assert all(sum(a * x for a, x in zip(row, got)) > 0 for row in rows)
+            if want is None:
+                # the walk gave up at radius 8; the cone was not empty
+                assert max(abs(x) for x in got) > 8, rows
+                outcomes["beyond"] += 1
+            else:
+                assert got == want, rows
+                outcomes["same"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_first_point_past_shell_eight(self):
+        rows = [[-3, -3, -1], [-3, -2, -3], [2, 2, 1]]
+        assert shell_walk_interior_point(rows, 3) is None
+        assert cone_scheme(rows).interior_point == (-12, 10, 5)
+
+    def test_thin_wedge_shell(self):
+        # k y < x < (k + 1) y first holds at (x, y) = (2k + 1, 2)
+        for k in (1, 2, 3, 10):
+            rows = [[1, -k, 0, 0], [-1, k + 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+            assert cone_scheme(rows).interior_point == (2 * k + 1, 2, 1, 1)
+
+    def test_rank_seven_empty_cone_is_quick(self):
+        rng = random.Random(7)
+        rows = [[int(i == j) for j in range(7)] for i in range(7)]
+        rows += [[-1] * 7] + [[rng.randint(-2, 2) for _ in range(7)]
+                              for _ in range(5)]
+        started = time.perf_counter()
+        with pytest.raises(EmptyCone) as info:
+            cone_scheme(rows)
+        assert time.perf_counter() - started < 1.0
+        assert_gordan(rows, info.value.certificate)
+
+    def test_zero_row_is_empty(self):
+        with pytest.raises(EmptyCone) as info:
+            cone_scheme([[1, 0], [0, 0]])
+        assert info.value.certificate == (0, 1)
+
+
+_BAD_SCHEMES = """
+from fractions import Fraction
+from ncample.errors import ParseError
+from ncample.numeric_polynomials import MultiPoly
+from ncample.scheme_model import (DivisorClass, NumericalScheme,
+                                  builtin_scheme, load_scheme)
+
+def doc(**changes):
+    base = {"name": "x", "dim": 1, "rho": 1, "ample_cone": [[1]],
+            "euler": [{"coeff": "1", "exponents": [0]}]}
+    base.update(changes)
+    return base
+
+constant = MultiPoly.from_monomials(1, {(0,): Fraction(1)})
+for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
+             lambda: load_scheme(doc(ample_cone=[[True]])),
+             lambda: load_scheme(doc(ample_cone=[["1/2"]])),
+             lambda: load_scheme(doc(ample_cone=7)),
+             lambda: load_scheme(doc(rho=1.7)),
+             lambda: load_scheme(doc(dim=2.0)),
+             lambda: load_scheme(doc(euler=[{"coeff": "1", "exponents": [0.5]}])),
+             lambda: NumericalScheme.build("x", 1, 1, constant, [[1.5]]),
+             lambda: DivisorClass((1.5,)),
+             lambda: DivisorClass((True,)),
+             lambda: builtin_scheme("P1").is_ample((1, 0))):
+    try:
+        print(call())
+    except ParseError:
+        print("ParseError")
+"""
+
+
+def test_bad_schemes_rejected_under_optimize():
+    # python -O strips asserts, so this fails wherever validation is an assert
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 11

@@ -1,15 +1,13 @@
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import run_optimized
 from ncample.bimodule_system import dual as numeric_dual
 from ncample.bimodule_system import system_to_document
 from ncample.errors import DegreeMismatch, ParseError
@@ -133,11 +131,11 @@ class TestFactorAutomorphism:
         assert pullback(cyc, sec).multidegree == tuple(m.apply(deg))
 
     def test_rejects_singular_mobius(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ParseError):
             FactorAutomorphism.build([1], [[[1, 1], [1, 1]]])
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ParseError):
             FactorAutomorphism.build([1, 1], [MOB_ID, MOB_ID])
 
 
@@ -316,10 +314,15 @@ ident = FactorAutomorphism.identity(1)
 swap = FactorAutomorphism.build([2, 1], [[[1, 0], [0, 1]]] * 2)
 swap_ring = OracleRing(2, [((1, 0), swap)])
 pair_ring = OracleRing(1, [((1,), ident), ((1,), ident)])
+one = [[1, 0], [0, 1]]
 for call in (lambda: swap_ring.graded_multidegree((-2,)),
              lambda: swap_ring.graded_multidegree((1, 5)),
              lambda: bergman_check(pair_ring, (-1, 0, 1)),
-             lambda: bergman_check(pair_ring, (0, 1, 2))):
+             lambda: bergman_check(pair_ring, (0, 1, 2)),
+             lambda: FactorAutomorphism.build([1, 1], [one, one]),
+             lambda: FactorAutomorphism.build([2, 1], [one]),
+             lambda: FactorAutomorphism.build([1], [[[1, 2], [2, 4]]]),
+             lambda: FactorAutomorphism.build([1], [[[1, 0]]])):
     try:
         print(call())
     except ParseError:
@@ -329,11 +332,4 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
 
 def test_bad_arguments_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_ARGUMENTS],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ParseError"] * 4
+    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 8
