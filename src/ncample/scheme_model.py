@@ -24,8 +24,7 @@ class DivisorClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(c, int) and not isinstance(c, bool)
-                   for c in self.coords):
+        if any(type(c) is not int for c in self.coords):
             raise ParseError(f"divisor class needs integer coordinates, got {self.coords}")
 
     def __len__(self):
@@ -144,11 +143,11 @@ def _project(rows, rho) -> list[list[tuple[int, ...]]]:
     """Fourier-Motzkin elimination of x[rho-1], ..., x[0] from rows . x > 0.
 
     Returns, for each i, the derived rows that bound x[i]: they involve
-    x[0..i] only, and x[0..i-1] extends to a real point of the cone exactly
-    when some x[i] makes every row bounding x[0..i] positive.  Derived rows
-    are kept primitive with multipliers y >= 0 such that row == y^T A
-    exactly; a derived zero row makes y a Gordan certificate that the cone
-    is empty."""
+    x[0..i] only, and x[0..i] extends to a real point of the cone exactly
+    when it makes every row of bounding[0], ..., bounding[i] positive.
+    Derived rows are kept primitive with multipliers y >= 0 such that
+    row == y^T A exactly; a derived zero row makes y a Gordan certificate
+    that the cone is empty."""
     system: dict = {}
     for i, row in enumerate(rows):
         _keep(system, row, tuple(Fraction(int(k == i)) for k in range(len(rows))))
