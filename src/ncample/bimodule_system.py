@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
                      NonInvertible, ParseError, UnipotentRequired)
-from .lattice_algebra import Matrix, geometric_sum, nilpotency_degree
+from .lattice_algebra import Matrix, geometric_sum
 from .numeric_polynomials import MultiPoly
-from .scheme_model import (DivisorClass, NumericalScheme, _as_dict, as_coords,
-                           load_scheme)
+from .scheme_model import (DivisorClass, NumericalScheme, _as_dict, _strict_int,
+                           as_coords, load_scheme)
 
 
 @dataclass(frozen=True)
@@ -95,104 +95,62 @@ def class_at(sys: BimoduleSystem, n) -> DivisorClass:
 
 
 # ---------------------------------------------------------------------------
-# symbolic evaluation: matrices over MultiPoly
+# symbolic evaluation
 
-def _polymat_from_matrix(m: Matrix, nvars: int):
-    return [[MultiPoly.constant(nvars, e) for e in row] for row in m.entries]
-
-def _polymat_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = MultiPoly.zero(a[0][0].nvars)
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-def _polymat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def _polymat_scale_poly(a, p: MultiPoly):
-    return [[x * p for x in row] for row in a]
-
-def _polymat_apply(a, vec):
-    polys = [v if isinstance(v, MultiPoly) else MultiPoly.constant(a[0][0].nvars, v)
-             for v in vec]
-    return [sum((x * p for x, p in zip(row, polys)),
-                MultiPoly.zero(a[0][0].nvars)) for row in a]
-
-def _const_apply(m: Matrix, polyvec):
-    nvars = polyvec[0].nvars
-    return [sum((p.scale(e) for e, p in zip(row, polyvec)),
-                MultiPoly.zero(nvars)) for row in m.entries]
-
-
-def _unipotent_power_poly(u: Matrix, var: int, nvars: int):
-    """Entrywise polynomial form of u^q in variable q, for unipotent u."""
-    n = u - Matrix.identity(u.rho)
-    nu = nilpotency_degree(n) if not n.is_zero() else 0
-    acc = _polymat_from_matrix(Matrix.identity(u.rho), nvars)
-    npow = Matrix.identity(u.rho)
-    for c in range(1, nu + 1):
-        npow = npow * n
-        if npow.is_zero():
-            break
-        term = _polymat_scale_poly(_polymat_from_matrix(npow, nvars),
-                                   MultiPoly.binom_term(nvars, var, c))
-        acc = _polymat_add(acc, term)
-    return acc
-
-
-def _unipotent_orbit_sum_poly(u: Matrix, var: int, nvars: int):
-    """Entrywise polynomial form of I + u + ... + u^(q-1) for unipotent u."""
-    n = u - Matrix.identity(u.rho)
-    acc = _polymat_scale_poly(_polymat_from_matrix(Matrix.identity(u.rho), nvars),
-                              MultiPoly.binom_term(nvars, var, 1))
-    npow = Matrix.identity(u.rho)
-    for d in range(1, u.rho + 1):
-        npow = npow * n
-        if npow.is_zero():
-            break
-        term = _polymat_scale_poly(_polymat_from_matrix(npow, nvars),
-                                   MultiPoly.binom_term(nvars, var, d + 1))
-        acc = _polymat_add(acc, term)
-    return acc
+def _nilpotent_powers(n: Matrix) -> list[Matrix]:
+    """I, n, n^2, ... up to the last nonzero power."""
+    powers = [Matrix.identity(n.rho)]
+    while not (last := powers[-1] * n).is_zero():
+        powers.append(last)
+    return powers
 
 
 def branch_class_polys(sys: BimoduleSystem, residue, periods) -> list[MultiPoly]:
     """Polynomials giving class_at(residue + periods*q) coordinatewise in q.
 
-    Each action raised to its period must be unipotent.  Valid for all
-    integer q >= 0; the identity splits every orbit sum at the residue and
-    then strides by the period.
+    Each action raised to its period must be unipotent, U = M^r = I + N.
+    With U^q = sum_k C(q,k) N^k and I + U + ... + U^(q-1) =
+    sum_k C(q,k+1) N^k, every term is an integer vector times a product of
+    binomials in distinct variables, which is one basis element of
+    MultiPoly.  So the class is accumulated as integer vectors keyed by
+    binomial exponents, transported by the prefix matrices
+    prod_{b<a} M_b^(c_b) N_b^(k_b) under the same keys.  Valid for all
+    integer q >= 0.
     """
     c = tuple(int(x) for x in residue)
     r = tuple(int(x) for x in periods)
     s = sys.s
     assert len(c) == len(r) == s and all(x >= 1 for x in r) and all(x >= 0 for x in c)
     rho = sys.scheme.rho
-    result = [MultiPoly.zero(s) for _ in range(rho)]
-    prefix_const = Matrix.identity(rho)
-    prefix_poly = _polymat_from_matrix(Matrix.identity(rho), s)
+    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+    prefixes = {(0,) * s: Matrix.identity(rho)}
+
+    def add(key, vec):
+        old = vectors.get(key, (0,) * rho)
+        vectors[key] = tuple(x + y for x, y in zip(old, vec))
+
     for a, bim in enumerate(sys.bimodules):
         m = bim.action
-        u = m ** r[a]
-        if not ((u - Matrix.identity(rho)) ** rho).is_zero():
+        n = m ** r[a] - Matrix.identity(rho)
+        if not (n ** rho).is_zero():
             raise UnipotentRequired(a)
+        m_c = m ** c[a]
+        steps = [m_c * npow for npow in _nilpotent_powers(n)]
         base = geometric_sum(m, c[a]).apply(bim.divisor.coords)
         stride = geometric_sum(m, r[a]).apply(bim.divisor.coords)
-        orbit = _polymat_apply(_unipotent_orbit_sum_poly(u, a, s), stride)
-        inner = [MultiPoly.constant(s, b) + p
-                 for b, p in zip(base, _const_apply(m ** c[a], orbit))]
-        term = _const_apply(prefix_const, _polymat_apply(prefix_poly, inner))
-        result = [x + y for x, y in zip(result, term)]
-        prefix_const = prefix_const * (m ** c[a])
-        prefix_poly = _polymat_mul(prefix_poly, _unipotent_power_poly(u, a, s))
-    return result
+        orbit = [step.apply(stride) for step in steps]
+        next_prefixes = {}
+        for key, prefix in prefixes.items():
+            add(key, prefix.apply(base))
+            for k, vec in enumerate(orbit):
+                add(key[:a] + (k + 1,) + key[a + 1:], prefix.apply(vec))
+            for k, step in enumerate(steps):
+                product = prefix * step
+                if not product.is_zero():
+                    next_prefixes[key[:a] + (k,) + key[a + 1:]] = product
+        prefixes = next_prefixes
+    return [MultiPoly(s, {key: vec[i] for key, vec in vectors.items() if vec[i]})
+            for i in range(rho)]
 
 
 def symbolic_class(sys: BimoduleSystem) -> list[MultiPoly]:
@@ -201,10 +159,6 @@ def symbolic_class(sys: BimoduleSystem) -> list[MultiPoly]:
     Requires every action to be unipotent; raises UnipotentRequired with the
     first offending index.
     """
-    rho = sys.scheme.rho
-    for i, bim in enumerate(sys.bimodules):
-        if not ((bim.action - Matrix.identity(rho)) ** rho).is_zero():
-            raise UnipotentRequired(i)
     return branch_class_polys(sys, (0,) * sys.s, (1,) * sys.s)
 
 
@@ -297,15 +251,21 @@ def load_system(document) -> BimoduleSystem:
     scheme = load_scheme(doc)
     if "bimodules" not in doc or not doc["bimodules"]:
         raise ParseError("document has no bimodules member")
-    bims = []
+    return BimoduleSystem(scheme, _read_bimodules(doc))
+
+
+def _read_bimodules(doc: dict) -> tuple[Bimodule, ...]:
+    """The bimodules member of a document, with strictly integer entries."""
     try:
-        for entry in doc["bimodules"]:
-            div = DivisorClass(tuple(int(x) for x in entry["divisor"]))
-            action = Matrix.from_rows(entry["matrix"])
-            bims.append(Bimodule(div, action, bool(entry.get("star", False))))
-    except (TypeError, ValueError, KeyError, AssertionError) as exc:
+        return tuple(
+            Bimodule(DivisorClass(tuple(_strict_int(x, "divisor entry")
+                                        for x in entry["divisor"])),
+                     Matrix(tuple(tuple(_strict_int(e, "matrix entry") for e in row)
+                                  for row in entry["matrix"])),
+                     bool(entry.get("star", False)))
+            for entry in doc["bimodules"])
+    except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed bimodule entry: {exc}") from exc
-    return BimoduleSystem(scheme, tuple(bims))
 
 
 def system_to_document(sys: BimoduleSystem) -> dict:

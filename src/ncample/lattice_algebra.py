@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .errors import NonInvertible, NotNilpotent
+from .errors import NonInvertible, NotNilpotent, ParseError
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,14 @@ class Matrix:
 
     def __post_init__(self):
         n = len(self.entries)
-        assert n >= 1, "empty matrix"
+        if n == 0:
+            raise ParseError("a matrix needs at least one row")
         for row in self.entries:
-            assert len(row) == n, "matrix must be square"
-            assert all(isinstance(e, int) for e in row), "entries must be int"
+            if len(row) != n:
+                raise ParseError(f"matrix must be square, got a row of length "
+                                 f"{len(row)} in {n} rows")
+            if any(type(e) is not int for e in row):
+                raise ParseError(f"matrix entries must be integers, got {row}")
 
     @property
     def rho(self) -> int:

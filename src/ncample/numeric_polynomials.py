@@ -209,21 +209,6 @@ class MultiPoly:
         assert self.nvars == other.nvars
         if self.is_zero() or other.is_zero():
             return MultiPoly.zero(self.nvars)
-        disjoint = all(self.degree_in(v) == 0 or other.degree_in(v) == 0
-                       for v in range(self.nvars))
-        if disjoint:
-            # products of binomial factors in distinct variables are again
-            # basis elements, so the convolution is exact
-            out: dict[Exponents, int] = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ka, kb))
-                    c = out.get(key, 0) + ca * cb
-                    if c:
-                        out[key] = c
-                    elif key in out:
-                        del out[key]
-            return MultiPoly(self.nvars, out)
         product = _mono_mul(self.to_monomials(), other.to_monomials())
         return MultiPoly.from_monomials(self.nvars, product)
 
@@ -446,10 +431,7 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
             lead += w
         if lead > 0:
             continue
-        if lead < 0:
-            coeffs = _restrict_to_ray(mono, origin, v)
-            return PositivityResult("no", base=origin, direction=v,
-                                    threshold=_sign_stable_threshold(coeffs))
+        # from the origin the restriction's top coefficient is lead itself
         coeffs = _restrict_to_ray(mono, origin, v)
         if coeffs[-1] < 0:
             return PositivityResult("no", base=origin, direction=v,

@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bimodule_system import BimoduleSystem, make_system
+from .bimodule_system import BimoduleSystem, _read_bimodules, make_system
 from .errors import DegreeMismatch, ParseError
 from .gk_dimension import hilbert_value
 from .lattice_algebra import Matrix
-from .scheme_model import p1_power_scheme
+from .scheme_model import _strict_int, p1_power_scheme
 
 Mob = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -295,7 +295,6 @@ class OracleRing:
             p1_power_scheme(self.d),
             [(deg, sigma.lattice_matrix()) for deg, sigma in self.pairs])
         self._twist_cache: dict[tuple[int, ...], FactorAutomorphism] = {}
-        self._validate_dimension_preservation()
 
     @property
     def s(self) -> int:
@@ -303,21 +302,6 @@ class OracleRing:
 
     def numerical_shadow(self) -> BimoduleSystem:
         return self._shadow
-
-    def _validate_dimension_preservation(self):
-        # pullback must carry a basis of each generating degree to an
-        # independent family of the permuted degree
-        for deg, sigma in self.pairs:
-            if any(a < 0 for a in deg):
-                continue
-            images = [pullback(sigma, MultiSection.monomial(deg, key))
-                      for key in monomial_basis(deg)]
-            want = sigma.lattice_matrix().apply(deg)
-            for img in images:
-                assert img.multidegree == tuple(want)
-            span = _rank_of_sections(images)
-            if span != len(images):
-                raise ParseError("pullback is not injective on sections")
 
     def twist_power(self, n) -> FactorAutomorphism:
         """sigma_1^{n_1} after ... after sigma_s^{n_s}, composed in order."""
@@ -403,28 +387,6 @@ class OracleRing:
             new_deg = inv.lattice_matrix().apply(deg)
             pairs.append((tuple(new_deg), inv))
         return OracleRing(self.d, pairs)
-
-
-def _rank_of_sections(sections) -> int:
-    keys = sorted({k for s in sections for k in s.terms})
-    rows = [[s.terms.get(k, Fraction(0)) for k in keys] for s in sections]
-    rank = 0
-    for col in range(len(keys)):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def opposite_check(ring: OracleRing, max_grade_entry: int = 4,
@@ -573,19 +535,19 @@ def load_oracle(document) -> OracleRing:
         raise ParseError("document has no oracle member")
     member = document["oracle"]
     try:
-        d = int(member["d"])
-        autos = [FactorAutomorphism.build(e["perm"], e["mobius"])
+        d = _strict_int(member["d"], "d")
+        autos = [FactorAutomorphism.build(
+                     [_strict_int(p, "perm entry") for p in e["perm"]], e["mobius"])
                  for e in member["automorphisms"]]
-        divisors = [tuple(int(x) for x in e["divisor"])
-                    for e in document["bimodules"]]
-        matrices = [Matrix.from_rows(e["matrix"]) for e in document["bimodules"]]
-    except (KeyError, TypeError, ValueError, AssertionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed oracle member: {exc}") from exc
-    if len(autos) != len(divisors):
+    bims = _read_bimodules(document)
+    if len(autos) != len(bims):
         raise ParseError("oracle automorphisms and bimodules differ in count")
-    for i, (auto, mat) in enumerate(zip(autos, matrices)):
-        if auto.lattice_matrix() != mat:
+    for i, (auto, bim) in enumerate(zip(autos, bims)):
+        if auto.lattice_matrix() != bim.action:
             raise ParseError(
                 f"bimodule {i} matrix is not the permutation action of its "
                 f"automorphism")
-    return OracleRing(d, list(zip(divisors, autos)))
+    return OracleRing(d, [(bim.divisor.coords, auto)
+                          for bim, auto in zip(bims, autos)])

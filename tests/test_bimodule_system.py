@@ -115,16 +115,43 @@ class TestSymbolicClass:
     def test_rejects_non_unipotent(self):
         with pytest.raises(UnipotentRequired):
             symbolic_class(golden_swap())
+        # the first bundle is unipotent and the second is not
+        sys = make_system(builtin_scheme("P1xP1"),
+                          [((1, 1), IDENT[2]), ((1, 1), SWAP)])
+        with pytest.raises(UnipotentRequired) as info:
+            symbolic_class(sys)
+        assert info.value.index == 1
 
     def test_branch_polys_cover_residues(self):
-        sys = golden_swap()
-        residues = [(0,), (1,)]
-        for c in residues:
-            polys = branch_class_polys(sys, c, (2,))
-            for q in range(4):
-                n = (c[0] + 2 * q,)
-                want = class_at(sys, n).coords
-                assert tuple(p.evaluate((q,)) for p in polys) == want
+        p1xp1 = builtin_scheme("P1xP1")
+        square = product(golden_swap(), golden_swap())
+        cases = [
+            (golden_swap(), (2,)),
+            (square, (2, 2)),
+            (product(square, golden_swap()), (2, 2, 2)),
+            # invariant divisors under independent powers of one permutation
+            # (the third family of scripts/duality_sweep.py)
+            (make_system(p1xp1, [((1, 1), SWAP), ((-1, -1), IDENT[2]),
+                                 ((2, 2), SWAP)]), (2, 1, 2)),
+            # one shared permutation, divisors differing by an invariant
+            # shift (the second family): the first residue swaps the
+            # second bundle's classes
+            (make_system(p1xp1, [((1, 0), SWAP), ((2, 1), SWAP)]), (2, 2)),
+            # the shear moves the second bundle's classes, and
+            # -[[1, 1], [0, 1]] squares to a shear, so both the prefixes
+            # and the orbit sums carry nilpotent terms
+            (make_system(p1xp1,
+                         [((1, 0), Matrix.from_rows([[1, 1], [0, 1]])),
+                          ((0, -2), Matrix.from_rows([[-1, -1], [0, -1]]))]),
+             (1, 2)),
+        ]
+        for sys, periods in cases:
+            for c in itertools.product(*(range(r) for r in periods)):
+                polys = branch_class_polys(sys, c, periods)
+                for q in itertools.product(range(4), repeat=sys.s):
+                    n = tuple(ci + ri * qi for ci, ri, qi in zip(c, periods, q))
+                    want = class_at(sys, n).coords
+                    assert tuple(p.evaluate(q) for p in polys) == want, (c, q)
 
 
 class TestConstructors:

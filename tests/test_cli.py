@@ -50,6 +50,26 @@ class TestValidate:
         assert "error" in report["payload"]
 
 
+    def test_non_integer_entries_rejected(self, tmp_path):
+        # verdict reads the bimodules but not the oracle member
+        edits = [
+            ("p1-O1.json", ("validate", "verdict"),
+             lambda d: d["bimodules"][0].update(divisor=[1.5])),
+            ("p1-O1.json", ("validate", "verdict"),
+             lambda d: d["bimodules"][0].update(matrix=[[1.9]])),
+            ("swap-ring.json", ("validate",),
+             lambda d: d["oracle"]["automorphisms"][0].update(perm=[2.9, 1])),
+        ]
+        for name, commands, edit in edits:
+            doc = json.loads(open(data(name), encoding="utf-8").read())
+            edit(doc)
+            path = write_doc(tmp_path, "bad.json", doc)
+            for command in commands:
+                code, report = run([command, path])
+                assert code == 1, (name, command)
+                assert "must be an integer" in report["payload"]["error"]
+
+
 class TestVerdict:
     def test_pair_ample(self):
         code, report = run(["verdict", data("builtin-pair.json")])

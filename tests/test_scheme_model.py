@@ -209,7 +209,9 @@ class TestConeSearch:
 
 _BAD_SCHEMES = """
 from fractions import Fraction
+from ncample.bimodule_system import load_system
 from ncample.errors import ParseError
+from ncample.lattice_algebra import Matrix
 from ncample.numeric_polynomials import MultiPoly
 from ncample.scheme_model import (DivisorClass, NumericalScheme,
                                   builtin_scheme, load_scheme)
@@ -231,7 +233,13 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: NumericalScheme.build("x", 1, 1, constant, [[1.5]]),
              lambda: DivisorClass((1.5,)),
              lambda: DivisorClass((True,)),
-             lambda: builtin_scheme("P1").is_ample((1, 0))):
+             lambda: builtin_scheme("P1").is_ample((1, 0)),
+             lambda: load_system(dict(builtin_scheme("P1").to_document(),
+                                      bimodules=[{"divisor": [1],
+                                                  "matrix": [[1, 0]]}])),
+             lambda: Matrix(()),
+             lambda: Matrix(((1, 0),)),
+             lambda: Matrix(((1.5,),))):
     try:
         print(call())
     except ParseError:
@@ -241,4 +249,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 11
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 15
