@@ -262,10 +262,17 @@ def _read_bimodules(doc: dict) -> tuple[Bimodule, ...]:
                                         for x in entry["divisor"])),
                      Matrix(tuple(tuple(_strict_int(e, "matrix entry") for e in row)
                                   for row in entry["matrix"])),
-                     bool(entry.get("star", False)))
+                     _strict_bool(entry.get("star", False), "star flag"))
             for entry in doc["bimodules"])
     except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed bimodule entry: {exc}") from exc
+
+
+def _strict_bool(value, what: str) -> bool:
+    """JSON true or false; anything else, "false" included, raises ParseError."""
+    if isinstance(value, bool):
+        return value
+    raise ParseError(f"{what} must be true or false, got {value!r}")
 
 
 def system_to_document(sys: BimoduleSystem) -> dict:

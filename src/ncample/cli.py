@@ -96,7 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the full machine-readable report")
         if bound:
             p.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND,
-                           help="search bound for certificates (default 16)")
+                           help="limit of the negative-ray search (largest direction "
+                                "and base entry) and of the --single power scan "
+                                "(default 16); corners are searched without limit")
 
     p = sub.add_parser("validate", help="parse and validate a document")
     add_common(p)

@@ -8,6 +8,7 @@ certifies strict positivity on the nonnegative orthant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -276,9 +277,11 @@ class MultiPoly:
 class PositivityResult:
     """Outcome of the eventual-positivity search.
 
-    kind is "yes" (positive on every integer point >= m0), "no" (negative on
-    a cofinal ray base + t*direction for all t >= threshold), or "unknown"
-    (search exhausted at the stated bound).
+    kind is "yes" (positive on every integer point >= m0, where m0 is the
+    least certifying diagonal shift, however far out), "no" (negative on a
+    cofinal ray base + t*direction for all t >= threshold), or "unknown"
+    (no diagonal shift certifies the polynomial and the ray search, whose
+    directions have entries up to the stated bound, found no negative ray).
     """
 
     kind: str
@@ -400,26 +403,89 @@ def _sign_stable_threshold(coeffs: list[Fraction]) -> int:
     return t
 
 
+def _certifies(q: MultiPoly) -> bool:
+    """All binomial coefficients >= 0 and the constant term > 0."""
+    return q.constant_term > 0 and all(c >= 0 for c in q.terms.values())
+
+
+def _some_shift_certifies(p: MultiPoly, shifted) -> bool:
+    """Whether any diagonal shift t certifies p, decided exactly.
+
+    Each binomial coefficient of p.shift((t,)*s) is a polynomial in t of
+    degree at most D = p.total_degree(), so its values at t = 0..D (from
+    ``shifted(t)``) give its coefficients in the basis C(t, m) by forward
+    differences; its sign for large t is that of the last nonzero one.
+    Since the certifying shifts are upward closed, one exists iff the
+    constant term's polynomial is eventually positive and no other
+    coefficient's is eventually negative.
+    """
+    degree = p.total_degree()
+    values = [shifted(t) for t in range(degree + 1)]
+    constant = (0,) * p.nvars
+    keys = {constant}.union(*(q.terms for q in values))
+    for key in keys:
+        row = [q.terms.get(key, 0) for q in values]
+        for m in range(1, degree + 1):
+            for i in range(degree, m - 1, -1):
+                row[i] -= row[i - 1]
+        lead = next((c for c in reversed(row) if c), 0)
+        if lead < 0 or (key == constant and lead == 0):
+            return False
+    return True
+
+
+def _least_certifying_shift(p: MultiPoly, search_bound: int) -> int | None:
+    """The least t whose diagonal shift certifies p, or None if none does.
+
+    Shifting a certified polynomial by (1,...,1) keeps it certified, since
+    C(n+1,k) = C(n,k) + C(n,k-1) and its new constant term, its value at
+    (1,...,1), is at least the old one.  So t gallops through 0, 1, 3, 7,
+    ... and then bisects the last gap.  When the gallop first passes
+    search_bound it asks _some_shift_certifies whether to go on.
+    """
+    @functools.cache
+    def shifted(t: int) -> MultiPoly:
+        return p.shift((t,) * p.nvars)
+
+    lo, hi = -1, 0  # lo fails (or is -1), hi is the next probe
+    while not _certifies(shifted(hi)):
+        lo, hi = hi, 2 * hi + 1
+        if lo <= search_bound < hi and not _some_shift_certifies(p, shifted):
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _certifies(shifted(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
     """Certified semi-decision of eventual strict positivity on N^s.
 
-    Yes certificates come from diagonal shifts whose binomial coefficients
-    are all nonnegative with positive constant term; No certificates from
-    rays with strictly positive direction entries whose restriction has a
-    negative leading coefficient.
+    Yes certificates come from the least diagonal shift t whose binomial
+    coefficients are all nonnegative with positive constant term; that
+    search has no upper limit and needs O(log t) shifts.  When no shift
+    certifies p, No certificates come from rays with entries in
+    [1, search_bound] whose restriction has a negative leading coefficient;
+    if the top-degree form has no negative coefficient, no such ray exists
+    and the answer is "unknown" at once.
     """
     if search_bound < 0:
         raise ParseError(f"search bound must be >= 0, got {search_bound}")
     s = p.nvars
     if p.is_zero():
         return PositivityResult("unknown", bound=search_bound)
-    for t in range(search_bound + 1):
-        shifted = p.shift((t,) * s)
-        if shifted.constant_term > 0 and all(c >= 0 for c in shifted.terms.values()):
-            return PositivityResult("yes", m0=(t,) * s)
+    t = _least_certifying_shift(p, search_bound)
+    if t is not None:
+        return PositivityResult("yes", m0=(t,) * s)
     mono = p.to_monomials()
     top_degree = max(sum(e) for e in mono)
     top = {e: c for e, c in mono.items() if sum(e) == top_degree}
+    if all(c > 0 for c in top.values()):
+        # every direction with entries >= 1 has a positive leading coefficient
+        return PositivityResult("unknown", bound=search_bound)
     origin = (0,) * s
     degenerate: list[tuple[int, ...]] = []
     for v in itertools.product(range(1, search_bound + 1), repeat=s):

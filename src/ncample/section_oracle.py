@@ -23,7 +23,10 @@ Mob = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
 def _mob(rows) -> Mob:
-    m = tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
+    try:
+        m = tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"a Moebius entry must be a rational number: {exc}") from exc
     if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ParseError(f"a Moebius matrix is 2x2, got {rows}")
     return m

@@ -99,6 +99,18 @@ class TestVerdict:
         assert v.kind == "NCAmple"
         assert v.m0 == (2,)
 
+    def test_shear_certificate_past_bound(self):
+        # one bundle (-256, 1) and two (1, 1), all sheared: each branch is
+        # certified by a diagonal shift far past the bound
+        shear = ((1, 1), (0, 1))
+        sys = make_system(builtin_scheme("P1xP1"),
+                          [((-256, 1), shear), ((1, 1), shear), ((1, 1), shear)])
+        v = quiet_verdict(sys, bound=16)
+        assert v.kind == "NCAmple"
+        assert v.m0 == (86, 86, 86)
+        for n in itertools.product(*(range(m, m + 3) for m in v.m0)):
+            assert sys.scheme.is_ample(class_at(sys, n))
+
     def test_boundary_class_is_undetermined(self):
         # O(1,0) alone never leaves the cone boundary
         sys = make_system(builtin_scheme("P1xP1"), [((1, 0), IDENT[2])])

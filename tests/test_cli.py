@@ -70,6 +70,27 @@ class TestValidate:
                 assert "must be an integer" in report["payload"]["error"]
 
 
+    def test_zero_denominator_moebius_rejected(self, tmp_path):
+        doc = json.loads(open(data("swap-ring.json"), encoding="utf-8").read())
+        doc["oracle"]["automorphisms"][0]["mobius"][0][0][0] = "1/0"
+        code, report = run(["validate", write_doc(tmp_path, "bad.json", doc)])
+        assert code == 1
+        assert "Moebius entry" in report["payload"]["error"]
+
+    def test_star_flag_must_be_boolean(self, tmp_path):
+        for star in ("false", 0, 1, None):
+            doc = json.loads(open(data("p1-O1.json"), encoding="utf-8").read())
+            doc["bimodules"][0]["star"] = star
+            path = write_doc(tmp_path, "bad.json", doc)
+            for command in ("validate", "verdict"):
+                code, report = run([command, path])
+                assert code == 1, (star, command)
+                assert "star flag" in report["payload"]["error"]
+        doc["bimodules"][0]["star"] = False
+        code, report = run(["validate", write_doc(tmp_path, "ok.json", doc)])
+        assert code == 0
+        assert report["payload"]["system"]["star"] == [False]
+
 class TestVerdict:
     def test_pair_ample(self):
         code, report = run(["verdict", data("builtin-pair.json")])

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -206,9 +208,105 @@ class TestEventuallyPositive:
                 assert p.evaluate(pt) > 0
 
     def test_bound_exhaustion_is_unknown(self):
-        # positive only far out; a tiny bound cannot certify either way
+        # the bound limits only the ray search: n - 100 is certified from
+        # the shift 101 even at bound 4, while 5*n2 - n1, whose negative
+        # rays need a first entry above 5, stays unknown until the bound
+        # reaches that ray
         p = MultiPoly.from_monomials(1, {(1,): 1, (0,): -100})
         res = eventually_positive(p, 4)
-        assert res.kind == "unknown"
-        res2 = eventually_positive(p, 128)
-        assert res2.is_yes
+        assert res.is_yes and res.m0 == (101,)
+        q = MultiPoly.from_monomials(2, {(1, 0): -1, (0, 1): 5})
+        res = eventually_positive(q, 4)
+        assert res.kind == "unknown" and res.bound == 4
+        res = eventually_positive(q, 8)
+        assert res.is_no and res.direction == (6, 1)
+
+
+def least_shift_by_scan(p, limit):
+    """The least t <= limit whose diagonal shift certifies p, or None."""
+    for t in range(limit + 1):
+        q = p.shift((t,) * p.nvars)
+        if q.constant_term > 0 and all(c >= 0 for c in q.terms.values()):
+            return t
+    return None
+
+
+def random_poly(rng, s, degree=3, max_coeff=12):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        e = [0] * s
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(s)] += 1
+        terms[tuple(e)] = rng.choice((-1, 1)) * rng.randint(1, max_coeff)
+    if rng.random() < 0.5:
+        # a deep constant pushes the least shift past small bounds
+        terms[(0,) * s] = -rng.randint(1, 60)
+    return MultiPoly.from_monomials(s, terms)
+
+
+@pytest.fixture
+def shift_calls(monkeypatch):
+    """The shift vector of every MultiPoly.shift call, in order."""
+    calls = []
+    shift = MultiPoly.shift
+    monkeypatch.setattr(MultiPoly, "shift",
+                        lambda self, t: calls.append(tuple(t)) or shift(self, t))
+    return calls
+
+
+class TestShiftSearch:
+    def test_least_shift_matches_linear_scan(self):
+        rng = random.Random(2024)
+        certified = 0
+        for _ in range(1200):
+            p = random_poly(rng, rng.randint(1, 3))
+            bound = rng.choice((0, 1, 4, 16))
+            res = eventually_positive(p, bound)
+            if res.is_yes:
+                certified += 1
+                t = res.m0[0]
+                assert res.m0 == (t,) * p.nvars
+                assert least_shift_by_scan(p, t) == t, p.to_monomials()
+            else:
+                assert least_shift_by_scan(p, 64) is None, p.to_monomials()
+        assert certified > 300
+
+    def test_shift_past_bound_in_few_shifts(self, shift_calls):
+        five = {tuple(int(i == j) for j in range(5)): 1 for i in range(5)}
+        five[(0,) * 5] = -100
+        start = time.perf_counter()
+        res = eventually_positive(MultiPoly.from_monomials(5, five), 16)
+        assert time.perf_counter() - start < 1.0
+        assert res.is_yes and res.m0 == (21,) * 5
+        assert len(shift_calls) <= 12
+        shift_calls.clear()
+        far = MultiPoly.from_monomials(2, {(1, 0): 1, (0, 1): 1, (0, 0): -10**12})
+        res = eventually_positive(far, 16)
+        assert res.is_yes and res.m0 == (5 * 10**11 + 1,) * 2
+        assert len(shift_calls) <= 2 * 40 + 2
+
+    def test_gallop_then_bisect_probe_order(self, shift_calls):
+        # within the bound only the gallop and the bisection shift p
+        p = MultiPoly.from_monomials(2, {(1, 0): 1, (0, 1): 1, (0, 0): -9})
+        res = eventually_positive(p, 16)
+        assert res.m0 == (5, 5)
+        assert [t[0] for t in shift_calls] == [0, 1, 3, 7, 5, 4]
+
+    def test_top_form_without_negative_skips_rays(self, monkeypatch):
+        # n1^2 dominates every ray, yet no shift helps: n2 keeps coefficient
+        # -5.  No ray can fail, so the answer is unknown without enumerating.
+        from ncample import numeric_polynomials
+
+        def no_rays(*args):
+            raise AssertionError("ray restriction computed")
+
+        monkeypatch.setattr(numeric_polynomials, "_restrict_to_ray", no_rays)
+        two = MultiPoly.from_monomials(2, {(2, 0): 1, (0, 1): -5})
+        four = MultiPoly.from_monomials(
+            4, {(2, 0, 0, 0): 1, (0, 1, 0, 0): -5, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
+        for p in (two, four):
+            for bound in (16, 48):
+                start = time.perf_counter()
+                res = eventually_positive(p, bound)
+                assert time.perf_counter() - start < 1.0
+                assert res.kind == "unknown" and res.bound == bound
