@@ -468,9 +468,7 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
     coefficients are all nonnegative with positive constant term; that
     search has no upper limit and needs O(log t) shifts.  When no shift
     certifies p, No certificates come from rays with entries in
-    [1, search_bound] whose restriction has a negative leading coefficient;
-    if the top-degree form has no negative coefficient, no such ray exists
-    and the answer is "unknown" at once.
+    [1, search_bound] whose restriction has a negative leading coefficient.
     """
     if search_bound < 0:
         raise ParseError(f"search bound must be >= 0, got {search_bound}")
@@ -483,9 +481,6 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
     mono = p.to_monomials()
     top_degree = max(sum(e) for e in mono)
     top = {e: c for e, c in mono.items() if sum(e) == top_degree}
-    if all(c > 0 for c in top.values()):
-        # every direction with entries >= 1 has a positive leading coefficient
-        return PositivityResult("unknown", bound=search_bound)
     origin = (0,) * s
     degenerate: list[tuple[int, ...]] = []
     for v in itertools.product(range(1, search_bound + 1), repeat=s):
