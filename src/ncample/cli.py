@@ -8,6 +8,7 @@ oracle compare.  Exit codes: 0 decisive success, 2 honest indecision
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -81,6 +82,7 @@ def _emit_document(doc: dict, path: str | None) -> None:
             fh.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncample",

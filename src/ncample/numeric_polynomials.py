@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,17 +20,17 @@ Exponents = tuple[int, ...]
 
 
 def binom_int(n: int, k: int) -> int:
-    """C(n, k) for any integer n and k >= 0, via the falling factorial."""
-    assert k >= 0
-    num = 1
-    for j in range(k):
-        num *= n - j
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    """C(n, k) for any integer n and k >= 0; for n < 0 it is (-1)^k C(k-n-1, k)."""
+    if k < 0:
+        raise ParseError(f"binomial coefficient needs k >= 0, got {k}")
+    if n >= 0:
+        return math.comb(n, k)
+    return (-1) ** k * math.comb(k - n - 1, k)
+
+
+def _expect_len(what: str, got: int, want: int) -> None:
+    if got != want:
+        raise ParseError(f"{what}: got {got}, expected {want}")
 
 
 def _mono_to_binom_row(e: int) -> tuple[int, ...]:
@@ -61,19 +62,6 @@ def _binom_to_mono_row(k: int) -> tuple[Fraction, ...]:
     return tuple(c / fact for c in coeffs)
 
 
-def _mono_mul(a: dict, b: dict) -> dict:
-    out: dict[Exponents, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(key, Fraction(0)) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
-
-
 @dataclass(frozen=True)
 class MultiPoly:
     """Polynomial in the binomial-coefficient basis with int coefficients."""
@@ -82,10 +70,11 @@ class MultiPoly:
     terms: dict[Exponents, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.nvars >= 1
+        if self.nvars < 1:
+            raise ParseError(f"a polynomial needs a variable, got nvars = {self.nvars}")
         for k, c in self.terms.items():
-            assert len(k) == self.nvars and all(e >= 0 for e in k)
-            assert isinstance(c, int) and c != 0
+            if len(k) != self.nvars or min(k) < 0 or not isinstance(c, int) or not c:
+                raise ParseError(f"bad term {c!r} at exponents {k} in {self.nvars} variables")
 
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
@@ -97,14 +86,6 @@ class MultiPoly:
         return MultiPoly(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
-    def binom_term(nvars: int, var: int, k: int, coeff: int = 1) -> "MultiPoly":
-        """coeff * C(n_var, k)."""
-        if coeff == 0:
-            return MultiPoly.zero(nvars)
-        key = tuple(k if i == var else 0 for i in range(nvars))
-        return MultiPoly(nvars, {key: int(coeff)})
-
-    @staticmethod
     def from_monomials(nvars: int, monomials) -> "MultiPoly":
         """Convert a monomial dict {exponents: rational} to the binomial basis.
 
@@ -114,7 +95,7 @@ class MultiPoly:
         acc: dict[Exponents, Fraction] = {}
         for expts, coeff in dict(monomials).items():
             expts = tuple(int(e) for e in expts)
-            assert len(expts) == nvars
+            _expect_len("monomial exponent count", len(expts), nvars)
             q = Fraction(coeff)
             if not q:
                 continue
@@ -154,7 +135,7 @@ class MultiPoly:
 
     def evaluate(self, point) -> int:
         pt = tuple(point)
-        assert len(pt) == self.nvars
+        _expect_len("evaluation point length", len(pt), self.nvars)
         total = 0
         for key, coeff in self.terms.items():
             prod = coeff
@@ -184,7 +165,7 @@ class MultiPoly:
         return max(k[var] for k in self.terms)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        assert self.nvars == other.nvars
+        _expect_len("summand variable count", other.nvars, self.nvars)
         out = dict(self.terms)
         for k, c in other.terms.items():
             c2 = out.get(k, 0) + c
@@ -197,9 +178,6 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "MultiPoly":
-        return self.scale(-1)
-
     def scale(self, c: int) -> "MultiPoly":
         c = int(c)
         if c == 0:
@@ -207,16 +185,15 @@ class MultiPoly:
         return MultiPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        assert self.nvars == other.nvars
-        if self.is_zero() or other.is_zero():
-            return MultiPoly.zero(self.nvars)
-        product = _mono_mul(self.to_monomials(), other.to_monomials())
-        return MultiPoly.from_monomials(self.nvars, product)
+        _expect_len("factor variable count", other.nvars, self.nvars)
+        degrees = [self.degree_in(j) + other.degree_in(j) for j in range(self.nvars)]
+        return _interpolate(degrees, self.total_degree() + other.total_degree(),
+                            lambda n: self.evaluate(n) * other.evaluate(n))
 
     def shift(self, t) -> "MultiPoly":
         """The polynomial n -> self(n + t), exactly, via Vandermonde."""
         tv = tuple(int(x) for x in t)
-        assert len(tv) == self.nvars
+        _expect_len("shift vector length", len(tv), self.nvars)
         out: dict[Exponents, int] = {}
         for key, coeff in self.terms.items():
             # C(n_i + t_i, k_i) = sum_j C(t_i, k_i - j) C(n_i, j)
@@ -312,60 +289,57 @@ class PositivityResult:
         return out
 
 
+def _interpolate(degrees, total: int, f) -> MultiPoly:
+    """The polynomial with values f(k) whose binomial exponents k all lie in
+    the lower set  k_j <= degrees[j], sum(k) <= total.
+
+    Its coefficient at k is the forward difference Delta^k f(0), an integer
+    when f is integer-valued.  Differencing one axis at a time stays inside
+    the set, since each of its lines along an axis starts at 0.
+    """
+    values = {k: f(k) for k in itertools.product(*(range(d + 1) for d in degrees))
+              if sum(k) <= total}
+    for j, d in enumerate(degrees):
+        for m in range(1, d + 1):
+            values = {k: c - values[k[:j] + (k[j] - 1,) + k[j + 1:]] if k[j] >= m else c
+                      for k, c in values.items()}
+    return MultiPoly(len(degrees), {k: c for k, c in values.items() if c})
+
+
 def box_sum(p: MultiPoly) -> MultiPoly:
     """f(n) = sum of p over the box 1 <= n_i <= n, as a univariate polynomial.
 
-    Uses the closed column sum  sum_{m=1..n} C(m,k) = C(n+1,k+1), rewritten
-    as C(n,k+1) + C(n,k) - [k = 0].
+    The column sums  sum_{m=1..n} C(m,k) = C(n+1,k+1) - [k = 0]  give f(n)
+    in closed form; f has degree at most deg p + s, so its values at
+    n = 0..deg p + s determine it.
     """
-    result = MultiPoly.zero(1)
-    for key, coeff in p.terms.items():
-        factor = MultiPoly.constant(1, coeff)
-        for k in key:
-            if k == 0:
-                g = MultiPoly(1, {(1,): 1})
-            else:
-                g = MultiPoly(1, {(k + 1,): 1, (k,): 1})
-            factor = factor * g
-        result = result + factor
-    return result
+    degree = p.total_degree() + p.nvars
+    return _interpolate((degree,), degree, lambda n: sum(
+        c * math.prod(math.comb(n[0] + 1, k + 1) - (k == 0) for k in key)
+        for key, c in p.terms.items()))
 
 
 def compose(outer: MultiPoly, inner) -> MultiPoly:
     """outer(inner_1(n), ..., inner_rho(n)) as a polynomial in n.
 
-    The composition is carried out in the rational monomial basis and
-    converted back; the result of composing integer-valued inputs along an
-    integer-lattice-valued tuple stays integer-valued.
+    A term prod_i C(x_i, k_i) of outer becomes a polynomial of degree at most
+    sum_i k_i * deg(inner_i) in each n_j and in total, so the composition is
+    interpolated from its integer values on that box cut by that total.
     """
     args = list(inner)
-    assert len(args) == outer.nvars
+    _expect_len("number of inner polynomials", len(args), outer.nvars)
     nvars = args[0].nvars
-    assert all(a.nvars == nvars for a in args)
-    arg_monos = [a.to_monomials() for a in args]
-    one = {(0,) * nvars: Fraction(1)}
-    # cache powers of each argument as they come up
-    powers: list[dict[int, dict]] = [{0: one} for _ in args]
+    for a in args:
+        _expect_len("inner polynomial variable count", a.nvars, nvars)
 
-    def arg_power(i: int, e: int) -> dict:
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = _mono_mul(arg_power(i, e - 1), arg_monos[i])
-        return cache[e]
+    def bound(degree_of) -> int:
+        degs = [max(degree_of(a), 0) for a in args]
+        return max((sum(k * d for k, d in zip(key, degs)) for key in outer.terms),
+                   default=0)
 
-    acc: dict[Exponents, Fraction] = {}
-    for expts, coeff in outer.to_monomials().items():
-        term = {(0,) * nvars: coeff}
-        for i, e in enumerate(expts):
-            if e:
-                term = _mono_mul(term, arg_power(i, e))
-        for k, c in term.items():
-            c2 = acc.get(k, Fraction(0)) + c
-            if c2:
-                acc[k] = c2
-            elif k in acc:
-                del acc[k]
-    return MultiPoly.from_monomials(nvars, acc)
+    degrees = [bound(lambda a: a.degree_in(j)) for j in range(nvars)]
+    return _interpolate(degrees, bound(MultiPoly.total_degree),
+                        lambda n: outer.evaluate([a.evaluate(n) for a in args]))
 
 
 def _restrict_to_ray(mono: dict, base, direction) -> list[Fraction]:
@@ -413,22 +387,19 @@ def _some_shift_certifies(p: MultiPoly, shifted) -> bool:
 
     Each binomial coefficient of p.shift((t,)*s) is a polynomial in t of
     degree at most D = p.total_degree(), so its values at t = 0..D (from
-    ``shifted(t)``) give its coefficients in the basis C(t, m) by forward
-    differences; its sign for large t is that of the last nonzero one.
+    ``shifted(t)``) give its coefficients in the basis C(t, m) through
+    _interpolate; its sign for large t is that of the last nonzero one.
     Since the certifying shifts are upward closed, one exists iff the
     constant term's polynomial is eventually positive and no other
     coefficient's is eventually negative.
     """
     degree = p.total_degree()
-    values = [shifted(t) for t in range(degree + 1)]
     constant = (0,) * p.nvars
-    keys = {constant}.union(*(q.terms for q in values))
+    keys = {constant}.union(*(shifted(t).terms for t in range(degree + 1)))
     for key in keys:
-        row = [q.terms.get(key, 0) for q in values]
-        for m in range(1, degree + 1):
-            for i in range(degree, m - 1, -1):
-                row[i] -= row[i - 1]
-        lead = next((c for c in reversed(row) if c), 0)
+        trend = _interpolate((degree,), degree,
+                             lambda t: shifted(t[0]).terms.get(key, 0)).terms
+        lead = trend[max(trend)] if trend else 0
         if lead < 0 or (key == constant and lead == 0):
             return False
     return True

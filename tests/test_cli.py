@@ -130,6 +130,13 @@ class TestVerdict:
         assert code == 0
         assert report["payload"]["search_bound"] == 4
 
+    def test_flag_does_not_outlive_its_call(self):
+        # one parser serves every call in a process
+        bounds = [run(argv)[1]["payload"]["search_bound"]
+                  for argv in (["verdict", "--bound", "0", data("p1-O1.json")],
+                               ["verdict", data("p1-O1.json")])]
+        assert bounds == [0, 16]
+
     def test_negative_bound_rejected(self):
         for command in ("verdict", "gk"):
             code, report = run([command, data("p1-O1.json"), "--bound", "-1"])

@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncample.ampleness import nc_ample_verdict
+from ncample.bimodule_system import load_system, product, symbolic_class, veronese
 from ncample.errors import NotIntegerValued
 from ncample.numeric_polynomials import (
     MultiPoly,
@@ -16,12 +20,18 @@ from ncample.numeric_polynomials import (
 )
 
 
-def small_polys(nvars, max_terms=4, max_exp=3, max_coeff=4):
-    """Integer combinations of binomial-basis terms."""
-    expt = st.tuples(*([st.integers(min_value=0, max_value=max_exp)] * nvars))
+def box_polys(max_exps, max_terms=3, max_coeff=4):
+    """Integer combinations of binomial-basis terms whose exponent of n_j is
+    at most max_exps[j]."""
+    expt = st.tuples(*(st.integers(min_value=0, max_value=e) for e in max_exps))
     coeff = st.integers(min_value=-max_coeff, max_value=max_coeff)
     return st.dictionaries(expt, coeff, max_size=max_terms).map(
-        lambda terms: MultiPoly(nvars, {k: v for k, v in terms.items() if v}))
+        lambda terms: MultiPoly(len(max_exps), {k: v for k, v in terms.items() if v}))
+
+
+def small_polys(nvars, max_terms=4, max_exp=3, max_coeff=4):
+    """Integer combinations of binomial-basis terms."""
+    return box_polys((max_exp,) * nvars, max_terms, max_coeff)
 
 
 class TestBinomInt:
@@ -148,6 +158,103 @@ class TestCompose:
         for n in range(-2, 4):
             want = outer.evaluate((f.evaluate((n,)), g.evaluate((n,))))
             assert composed.evaluate((n,)) == want
+
+
+def _mono_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            c = out.get(key, Fraction(0)) + ca * cb
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+    return out
+
+
+def fraction_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The product through the rational monomial basis."""
+    if a.is_zero() or b.is_zero():
+        return MultiPoly.zero(a.nvars)
+    return MultiPoly.from_monomials(a.nvars, _mono_mul(a.to_monomials(), b.to_monomials()))
+
+
+def fraction_box_sum(p: MultiPoly) -> MultiPoly:
+    """Reference box sum: products of the column sums C(n,k+1) + C(n,k) - [k = 0]."""
+    result = MultiPoly.zero(1)
+    for key, coeff in p.terms.items():
+        factor = MultiPoly.constant(1, coeff)
+        for k in key:
+            g = MultiPoly(1, {(1,): 1} if k == 0 else {(k + 1,): 1, (k,): 1})
+            factor = fraction_mul(factor, g)
+        result = result + factor
+    return result
+
+
+def fraction_compose(outer: MultiPoly, inner) -> MultiPoly:
+    """Reference composition in the rational monomial basis."""
+    nvars = inner[0].nvars
+    arg_monos = [a.to_monomials() for a in inner]
+    acc: dict = {}
+    for expts, coeff in outer.to_monomials().items():
+        term = {(0,) * nvars: coeff}
+        for mono, e in zip(arg_monos, expts):
+            for _ in range(e):
+                term = _mono_mul(term, mono)
+        for k, c in term.items():
+            acc[k] = acc.get(k, Fraction(0)) + c
+    return MultiPoly.from_monomials(nvars, acc)
+
+
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+
+
+def _data_system(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return load_system(fh.read())
+
+
+def gk_inputs():
+    """(euler, strided class polynomials) that gk composes: every NC-ample
+    data/ document, and the tensor squares to fourth powers of two of them."""
+    systems = [_data_system(name) for name in sorted(os.listdir(DATA))]
+    for name in ("p1-O1.json", "swap-ring.json"):
+        base = power = _data_system(name)
+        for _ in range(3):
+            power = product(power, base)
+            systems.append(power)
+    for system in systems:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            verdict = nc_ample_verdict(system)
+        if verdict.kind == "NCAmple":
+            strided = veronese(system, verdict.screen.orders)
+            yield system.scheme.euler, symbolic_class(strided)
+
+
+class TestAgainstFractionAlgebra:
+    """compose and box_sum against the rational monomial algebra they replaced."""
+
+    def test_gk_inputs(self):
+        seen = 0
+        for euler, classes in gk_inputs():
+            hilbert = compose(euler, classes)
+            assert hilbert == fraction_compose(euler, classes)
+            assert box_sum(hilbert) == fraction_box_sum(hilbert)
+            seen += 1
+        assert seen == 13
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_polys(2, max_terms=3, max_exp=2), box_polys((3, 1)), box_polys((0, 2)))
+    def test_bivariate_inner(self, outer, f, g):
+        assert compose(outer, [f, g]) == fraction_compose(outer, [f, g])
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_polys(3, max_terms=3, max_exp=2),
+           box_polys((2, 0, 1)), box_polys((1, 3, 0)), box_polys((0, 1, 2)))
+    def test_trivariate_inner(self, outer, f, g, h):
+        assert compose(outer, [f, g, h]) == fraction_compose(outer, [f, g, h])
 
 
 class TestEventuallyPositive:

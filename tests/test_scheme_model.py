@@ -212,7 +212,7 @@ from fractions import Fraction
 from ncample.bimodule_system import load_system
 from ncample.errors import ParseError
 from ncample.lattice_algebra import Matrix
-from ncample.numeric_polynomials import MultiPoly
+from ncample.numeric_polynomials import MultiPoly, binom_int, compose
 from ncample.scheme_model import (DivisorClass, NumericalScheme,
                                   builtin_scheme, load_scheme)
 
@@ -223,6 +223,7 @@ def doc(**changes):
     return base
 
 constant = MultiPoly.from_monomials(1, {(0,): Fraction(1)})
+pair = MultiPoly.constant(2, 1)
 for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: load_scheme(doc(ample_cone=[[True]])),
              lambda: load_scheme(doc(ample_cone=[["1/2"]])),
@@ -239,7 +240,20 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
                                                   "matrix": [[1, 0]]}])),
              lambda: Matrix(()),
              lambda: Matrix(((1, 0),)),
-             lambda: Matrix(((1.5,),))):
+             lambda: Matrix(((1.5,),)),
+             lambda: MultiPoly(0, {}),
+             lambda: MultiPoly(1, {(1, 0): 1}),
+             lambda: MultiPoly(1, {(-1,): 1}),
+             lambda: MultiPoly(1, {(1,): 0}),
+             lambda: MultiPoly(1, {(1,): 1.5}),
+             lambda: MultiPoly.from_monomials(2, {(1,): 1}),
+             lambda: constant.evaluate((1, 2)),
+             lambda: constant.shift((1, 2)),
+             lambda: constant + pair,
+             lambda: constant * pair,
+             lambda: binom_int(3, -1),
+             lambda: compose(pair, [constant]),
+             lambda: compose(pair, [constant, pair])):
     try:
         print(call())
     except ParseError:
@@ -249,4 +263,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 15
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 28
