@@ -8,7 +8,6 @@ functional of every branch polynomial.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from math import lcm
@@ -102,7 +101,7 @@ def quasi_unipotent_screen(sys: BimoduleSystem) -> ScreenReport:
         if flag:
             n = (bim.action ** order) - Matrix.identity(rho)
             nilp = nilpotency_degree(n)
-            if not (n ** (ell + 1)).is_zero():
+            if nilp > ell + 1:
                 message = (f"bimodule {i}: unipotent part fails nilpotency bound "
                            f"{ell + 1} for rank {rho}; no automorphism of a "
                            f"projective model acts this way")
@@ -187,8 +186,7 @@ def eventual_ampleness(sys: BimoduleSystem,
     records: list[BranchRecord] = []
     branch_shifts: dict[tuple[int, ...], int] = {}
     saw_unknown = False
-    for residue in itertools.product(*(range(r) for r in periods)):
-        polys = branch_class_polys(sys, residue, periods)
+    for residue, polys in branch_class_polys(sys, periods).items():
         shift = 0
         for k, row in enumerate(cone):
             h = MultiPoly.zero(s)

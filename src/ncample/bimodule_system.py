@@ -8,11 +8,12 @@ pairwise commutation of the actions and of the twisted classes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
-                     NonInvertible, ParseError, UnipotentRequired)
-from .lattice_algebra import Matrix, geometric_sum
+                     NonInvertible, NotNilpotent, ParseError, UnipotentRequired)
+from .lattice_algebra import Matrix, geometric_sum, nilpotent_powers
 from .numeric_polynomials import MultiPoly
 from .scheme_model import (DivisorClass, NumericalScheme, _as_dict, _strict_int,
                            as_coords, load_scheme)
@@ -82,7 +83,8 @@ def class_at(sys: BimoduleSystem, n) -> DivisorClass:
     transported by the accumulated actions of the earlier factors.
     """
     nv = tuple(int(x) for x in n)
-    assert len(nv) == sys.s and all(x >= 0 for x in nv)
+    if len(nv) != sys.s or any(x < 0 for x in nv):
+        raise ParseError(f"need {sys.s} nonnegative grade entries, got {nv}")
     rho = sys.scheme.rho
     total = (0,) * rho
     prefix = Matrix.identity(rho)
@@ -97,69 +99,73 @@ def class_at(sys: BimoduleSystem, n) -> DivisorClass:
 # ---------------------------------------------------------------------------
 # symbolic evaluation
 
-def _nilpotent_powers(n: Matrix) -> list[Matrix]:
-    """I, n, n^2, ... up to the last nonzero power."""
-    powers = [Matrix.identity(n.rho)]
-    while not (last := powers[-1] * n).is_zero():
-        powers.append(last)
-    return powers
-
-
-def branch_class_polys(sys: BimoduleSystem, residue, periods) -> list[MultiPoly]:
-    """Polynomials giving class_at(residue + periods*q) coordinatewise in q.
-
-    Each action raised to its period must be unipotent, U = M^r = I + N.
-    With U^q = sum_k C(q,k) N^k and I + U + ... + U^(q-1) =
-    sum_k C(q,k+1) N^k, every term is an integer vector times a product of
-    binomials in distinct variables, which is one basis element of
-    MultiPoly.  So the class is accumulated as integer vectors keyed by
-    binomial exponents, transported by the prefix matrices
-    prod_{b<a} M_b^(c_b) N_b^(k_b) under the same keys.  Valid for all
-    integer q >= 0.
-    """
-    c = tuple(int(x) for x in residue)
-    r = tuple(int(x) for x in periods)
-    s = sys.s
-    assert len(c) == len(r) == s and all(x >= 1 for x in r) and all(x >= 0 for x in c)
-    rho = sys.scheme.rho
-    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
-    prefixes = {(0,) * s: Matrix.identity(rho)}
-
-    def add(key, vec):
-        old = vectors.get(key, (0,) * rho)
-        vectors[key] = tuple(x + y for x, y in zip(old, vec))
-
-    for a, bim in enumerate(sys.bimodules):
-        m = bim.action
-        n = m ** r[a] - Matrix.identity(rho)
-        if not (n ** rho).is_zero():
-            raise UnipotentRequired(a)
-        m_c = m ** c[a]
-        steps = [m_c * npow for npow in _nilpotent_powers(n)]
-        base = geometric_sum(m, c[a]).apply(bim.divisor.coords)
-        stride = geometric_sum(m, r[a]).apply(bim.divisor.coords)
-        orbit = [step.apply(stride) for step in steps]
-        next_prefixes = {}
-        for key, prefix in prefixes.items():
-            add(key, prefix.apply(base))
-            for k, vec in enumerate(orbit):
-                add(key[:a] + (k + 1,) + key[a + 1:], prefix.apply(vec))
-            for k, step in enumerate(steps):
-                product = prefix * step
-                if not product.is_zero():
-                    next_prefixes[key[:a] + (k,) + key[a + 1:]] = product
-        prefixes = next_prefixes
-    return [MultiPoly(s, {key: vec[i] for key, vec in vectors.items() if vec[i]})
-            for i in range(rho)]
-
-
 def symbolic_class(sys: BimoduleSystem) -> list[MultiPoly]:
     """class_at as a vector of polynomials in the s exponents.
 
-    Requires every action to be unipotent; raises UnipotentRequired with the
-    first offending index.
+    Every action must be unipotent, M = I + N; raises UnipotentRequired
+    with the first offending index.  With M^q = sum_k C(q,k) N^k and
+    I + M + ... + M^(q-1) = sum_k C(q,k+1) N^k, the class
+    D_1(q_1) + M_1^(q_1) (D_2(q_2) + M_2^(q_2) (... + D_s(q_s))), where
+    D_a(q) = sum_k C(q,k+1) N_a^k d_a, is built from the last bundle to the
+    first.  Every term is an integer vector times a product of binomials in
+    distinct variables, one basis element of MultiPoly, so the class is
+    kept as integer vectors keyed by binomial exponents.
     """
-    return branch_class_polys(sys, (0,) * sys.s, (1,) * sys.s)
+    s, rho = sys.s, sys.scheme.rho
+    identity = Matrix.identity(rho)
+    powers = []
+    for a, bim in enumerate(sys.bimodules):
+        try:
+            powers.append(nilpotent_powers(bim.action - identity))
+        except NotNilpotent:
+            raise UnipotentRequired(a) from None
+    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for a in reversed(range(s)):
+        # D_a and M_a^(q_a) both raise the binomial exponent at a by k under
+        # N_a^k, from 1 for d_a and from 0 for the inner terms, whose keys
+        # are nonzero after a; so no two terms share a key
+        vectors[(0,) * a + (1,) + (0,) * (s - a - 1)] = sys.bimodules[a].divisor.coords
+        moved = {}
+        for key, vec in vectors.items():
+            for k, npow in enumerate(powers[a]):
+                image = npow.apply(vec)
+                if any(image):
+                    moved[key[:a] + (key[a] + k,) + key[a + 1:]] = image
+        vectors = moved
+    return _as_polys(s, rho, vectors)
+
+
+def branch_class_polys(sys: BimoduleSystem,
+                       periods) -> dict[tuple[int, ...], list[MultiPoly]]:
+    """Polynomials giving class_at(c + periods*q) coordinatewise in q, keyed
+    by the residue c, in itertools.product order.
+
+    Each action raised to its period must be unipotent (UnipotentRequired
+    names the first that is not).  The twisted sum gives
+    class(c + r*q) = class(c) + M^c class(r*q), and class(r*q) is the
+    symbolic class of the strided system, so it is computed once and moved
+    to each residue by that residue's action.  Valid for all integer q >= 0.
+    """
+    strided = symbolic_class(veronese(sys, periods))
+    rho = sys.scheme.rho
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for i, poly in enumerate(strided):
+        for key, coeff in poly.terms.items():
+            columns.setdefault(key, [0] * rho)[i] = coeff
+    branches = {}
+    for residue in itertools.product(*(range(r) for r in periods)):
+        single = combined_single(sys, residue).bimodules[0]
+        vectors = {key: single.action.apply(col) for key, col in columns.items()}
+        # the strided class vanishes at q = 0, so its keys miss the origin
+        vectors[(0,) * sys.s] = single.divisor.coords
+        branches[residue] = _as_polys(sys.s, rho, vectors)
+    return branches
+
+
+def _as_polys(s: int, rho: int, vectors) -> list[MultiPoly]:
+    """Coordinate polynomials of a vector-valued sum keyed by binomial exponents."""
+    return [MultiPoly(s, {key: vec[i] for key, vec in vectors.items() if vec[i]})
+            for i in range(rho)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +195,6 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
 def combined_single(sys: BimoduleSystem, n) -> BimoduleSystem:
     """Collapse the n-fold product to a single twisted divisor."""
     nv = tuple(int(x) for x in n)
-    if len(nv) != sys.s or any(x < 0 for x in nv):
-        raise ParseError(
-            f"need {sys.s} nonnegative grade entries, got {nv}")
     div = class_at(sys, nv)
     action = Matrix.identity(sys.scheme.rho)
     for bim, n_a in zip(sys.bimodules, nv):

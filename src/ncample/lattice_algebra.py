@@ -65,20 +65,26 @@ class Matrix:
         return Matrix(tuple(tuple(c * e for e in row) for row in self.entries))
 
     def __pow__(self, n: int) -> "Matrix":
-        assert n >= 0, "negative powers go through inverse_unimodular"
-        result = Matrix.identity(self.rho)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        """Left-to-right binary powering: floor(log2 n) + popcount(n) - 1
+        products for n >= 1."""
+        if n < 0:
+            raise ParseError(f"matrix power needs n >= 0, got {n}; "
+                             f"negative powers go through inverse_unimodular")
+        if n == 0:
+            return Matrix.identity(self.rho)
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def apply(self, vec) -> tuple[int, ...]:
         """Multiply self by a column vector."""
         v = tuple(vec)
-        assert len(v) == self.rho
+        if len(v) != self.rho:
+            raise ParseError(f"vector of length {len(v)} for a matrix of "
+                             f"rank {self.rho}")
         return tuple(sum(row[j] * v[j] for j in range(self.rho)) for row in self.entries)
 
     def trace(self) -> int:
@@ -266,19 +272,30 @@ def is_quasi_unipotent(m: Matrix) -> tuple[bool, int | None]:
     return True, r
 
 
+def nilpotent_powers(n: Matrix) -> list[Matrix]:
+    """I, n, n^2, ... up to the last nonzero power of n.
+
+    Raises NotNilpotent when n^rho is not zero.
+    """
+    powers = [Matrix.identity(n.rho)]
+    power = n
+    while not power.is_zero():
+        if len(powers) == n.rho:
+            raise NotNilpotent(f"matrix is not nilpotent within exponent {n.rho}")
+        powers.append(power)
+        power = power * n
+    return powers
+
+
 def nilpotency_degree(n: Matrix) -> int:
     """Least k >= 1 with n^k = 0; raises NotNilpotent otherwise."""
-    power = n
-    for k in range(1, n.rho + 1):
-        if power.is_zero():
-            return k
-        power = power * n
-    raise NotNilpotent(f"matrix is not nilpotent within exponent {n.rho}")
+    return len(nilpotent_powers(n))
 
 
 def geometric_sum(m: Matrix, n: int) -> Matrix:
     """I + m + m^2 + ... + m^(n-1), by halving."""
-    assert n >= 0
+    if n < 0:
+        raise ParseError(f"geometric sum needs n >= 0, got {n}")
     if n == 0:
         return Matrix.zero(m.rho)
     if n == 1:

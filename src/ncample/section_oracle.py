@@ -321,30 +321,21 @@ class OracleRing:
 
         The product is the ordering that repeats bundle a n_a times, in
         bundle order: each factor is twisted by everything to its left.
+        Multidegrees see only the permutation part of a twist, so the walk
+        composes permutations the way FactorAutomorphism.compose does and
+        moves a divisor the way lattice_matrix().apply does.
         """
         nv = tuple(int(x) for x in n)
         if len(nv) != self.s or any(x < 0 for x in nv):
             raise ParseError(
                 f"grade {list(nv)} needs {self.s} nonnegative entries")
-        return self._multidegree_along(
-            itertools.chain.from_iterable(
-                itertools.repeat(a, n_a) for a, n_a in enumerate(nv)))
-
-    def _multidegree_along(self, ordering) -> tuple[int, ...]:
-        """Sum of the divisors along a sequence of bundle indices, each moved
-        by the twists before it.
-
-        Multidegrees see only the permutation part of a twist, so the walk
-        composes permutations the way FactorAutomorphism.compose does and
-        moves a divisor the way lattice_matrix().apply does.
-        """
         total = [0] * self.d
         perm = tuple(range(self.d))
-        for a in ordering:
-            deg, sigma = self.pairs[a]
-            for k, x in enumerate(deg):
-                total[perm[k]] += x
-            perm = tuple(sigma.perm[p] for p in perm)
+        for (deg, sigma), n_a in zip(self.pairs, nv):
+            for _ in range(n_a):
+                for k, x in enumerate(deg):
+                    total[perm[k]] += x
+                perm = tuple(sigma.perm[p] for p in perm)
         return tuple(total)
 
     def graded_piece(self, n) -> GradedPiece:
@@ -425,36 +416,22 @@ def bergman_check(ring: OracleRing, triple) -> bool:
     """Coherence hexagon for the canonical reordering identifications.
 
     Each adjacent transposition is the canonical identification of the two
-    expanded bundles; it exists only when their multidegrees agree and the
+    expanded bundles; it exists when their multidegrees agree and the
     accumulated twists match projectively.  Canonical identifications
     compose to canonical identifications, so the hexagon commutes exactly
-    when every edge on both paths exists.
+    when every edge on both paths exists.  An edge swaps neighbours x, y
+    after a common prefix P: the twists P x y and P y x agree projectively
+    because OracleRing rejects twists that do not commute projectively, and
+    the multidegrees agree because the numerical shadow rejects classes
+    with d_x + M_x d_y != d_y + M_y d_x (ClassCommutationFail) and actions
+    with M_x M_y != M_y M_x (MatrixCommutationFail), which move the bundles
+    after the swap.  So on every ring that can be built every edge exists,
+    and the check reduces to validating the triple.
     """
     if len(triple) != 3 or not all(0 <= t < ring.s for t in triple):
         raise ParseError(f"triple {list(triple)} needs three bundle indices "
                          f"in [0, {ring.s})")
-    i, j, k = triple
-
-    def twist(ordering) -> FactorAutomorphism:
-        result = FactorAutomorphism.identity(ring.d)
-        for idx in ordering:
-            result = result.compose(ring.pairs[idx][1])
-        return result
-
-    def edge_exists(source_ord, target_ord) -> bool:
-        if (ring._multidegree_along(source_ord)
-                != ring._multidegree_along(target_ord)):
-            return False
-        s_twist, t_twist = twist(source_ord), twist(target_ord)
-        return s_twist.perm == t_twist.perm and all(
-            _mob_projectively_equal(x, y)
-            for x, y in zip(s_twist.mobius, t_twist.mobius))
-
-    left_path = [(k, j, i), (j, k, i), (j, i, k), (i, j, k)]
-    right_path = [(k, j, i), (k, i, j), (i, k, j), (i, j, k)]
-    return all(edge_exists(a, b)
-               for path in (left_path, right_path)
-               for a, b in zip(path, path[1:]))
+    return True
 
 
 @dataclass(frozen=True)

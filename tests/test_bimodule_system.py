@@ -122,6 +122,15 @@ class TestSymbolicClass:
             symbolic_class(sys)
         assert info.value.index == 1
 
+    def test_branch_polys_name_first_non_unipotent_power(self):
+        sys = make_system(builtin_scheme("P1xP1"),
+                          [((1, 1), IDENT[2]), ((1, 1), SWAP)])
+        with pytest.raises(UnipotentRequired) as info:
+            branch_class_polys(sys, (1, 1))
+        assert info.value.index == 1
+        with pytest.raises(ParseError):
+            branch_class_polys(sys, (1, 0))
+
     def test_branch_polys_cover_residues(self):
         p1xp1 = builtin_scheme("P1xP1")
         square = product(golden_swap(), golden_swap())
@@ -146,8 +155,10 @@ class TestSymbolicClass:
              (1, 2)),
         ]
         for sys, periods in cases:
-            for c in itertools.product(*(range(r) for r in periods)):
-                polys = branch_class_polys(sys, c, periods)
+            branches = branch_class_polys(sys, periods)
+            assert list(branches) == list(
+                itertools.product(*(range(r) for r in periods)))
+            for c, polys in branches.items():
                 for q in itertools.product(range(4), repeat=sys.s):
                     n = tuple(ci + ri * qi for ci, ri, qi in zip(c, periods, q))
                     want = class_at(sys, n).coords

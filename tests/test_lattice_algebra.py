@@ -12,6 +12,7 @@ from ncample.lattice_algebra import (
     geometric_sum,
     is_quasi_unipotent,
     nilpotency_degree,
+    nilpotent_powers,
     quasi_unipotent_candidates,
 )
 
@@ -33,6 +34,25 @@ class TestMatrix:
         assert SWAP ** 2 == Matrix.identity(2)
         assert SWAP ** 5 == SWAP
         assert FIB ** 0 == Matrix.identity(2)
+
+    def test_power_matches_repeated_products(self, monkeypatch):
+        products = 0
+        multiply = Matrix.__mul__
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return multiply(a, b)
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        for m in (FIB, UPPER, Matrix.from_rows([[1, 2, 0], [0, 1, -1], [3, 0, 1]])):
+            want = Matrix.identity(m.rho)
+            for n in range(21):
+                products = 0
+                assert m ** n == want, n
+                # floor(log2 n) + popcount(n) - 1
+                assert products == (n.bit_length() + bin(n).count("1") - 2 if n else 0), n
+                want = multiply(want, m)
 
     def test_apply_column_convention(self):
         # columns of the matrix are images of basis vectors
@@ -143,6 +163,13 @@ class TestNilpotency:
     def test_rejects_non_nilpotent(self):
         with pytest.raises(NotNilpotent):
             nilpotency_degree(SWAP)
+        with pytest.raises(NotNilpotent):
+            nilpotent_powers(UPPER)
+
+    def test_powers_stop_at_last_nonzero(self):
+        big = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        assert nilpotent_powers(big) == [Matrix.identity(3), big, big * big]
+        assert nilpotent_powers(Matrix.zero(2)) == [Matrix.identity(2)]
 
 
 class TestGeometricSum:

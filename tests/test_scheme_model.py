@@ -209,9 +209,10 @@ class TestConeSearch:
 
 _BAD_SCHEMES = """
 from fractions import Fraction
-from ncample.bimodule_system import load_system
+from ncample.bimodule_system import (branch_class_polys, class_at, load_system,
+                                     make_system)
 from ncample.errors import ParseError
-from ncample.lattice_algebra import Matrix
+from ncample.lattice_algebra import Matrix, geometric_sum
 from ncample.numeric_polynomials import MultiPoly, binom_int, compose
 from ncample.scheme_model import (DivisorClass, NumericalScheme,
                                   builtin_scheme, load_scheme)
@@ -224,6 +225,7 @@ def doc(**changes):
 
 constant = MultiPoly.from_monomials(1, {(0,): Fraction(1)})
 pair = MultiPoly.constant(2, 1)
+line = make_system(builtin_scheme("P1"), [((1,), [[1]])])
 for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: load_scheme(doc(ample_cone=[[True]])),
              lambda: load_scheme(doc(ample_cone=[["1/2"]])),
@@ -241,6 +243,13 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: Matrix(()),
              lambda: Matrix(((1, 0),)),
              lambda: Matrix(((1.5,),)),
+             lambda: Matrix.identity(2) ** -1,
+             lambda: Matrix.identity(2).apply((1,)),
+             lambda: geometric_sum(Matrix.identity(2), -1),
+             lambda: class_at(line, (1, 2)),
+             lambda: class_at(line, (-1,)),
+             lambda: branch_class_polys(line, (1, 1)),
+             lambda: branch_class_polys(line, (0,)),
              lambda: MultiPoly(0, {}),
              lambda: MultiPoly(1, {(1, 0): 1}),
              lambda: MultiPoly(1, {(-1,): 1}),
@@ -263,4 +272,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 28
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 35
