@@ -266,10 +266,7 @@ def is_quasi_unipotent(m: Matrix) -> tuple[bool, int | None]:
     if remaining.degree() != 0:
         return False, None
     assert remaining.is_one()
-    r = lcm(*orders)
-    n = (m ** r) - Matrix.identity(m.rho)
-    assert (n ** m.rho).is_zero(), "unipotent part must be nilpotent"
-    return True, r
+    return True, lcm(*orders)
 
 
 def nilpotent_powers(n: Matrix) -> list[Matrix]:

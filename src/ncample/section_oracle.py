@@ -12,6 +12,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .bimodule_system import BimoduleSystem, _read_bimodules, make_system
 from .errors import DegreeMismatch, ParseError
@@ -19,7 +21,17 @@ from .gk_dimension import hilbert_value
 from .lattice_algebra import Matrix
 from .scheme_model import _strict_int, p1_power_scheme
 
-Mob = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+# A Moebius factor ((a, b), (c, d)) / den as the five integers
+# (a, b, c, d, den), with den > 0 and gcd(a, b, c, d, den) = 1, so equal
+# maps have equal tuples and composing them needs no Fraction arithmetic.
+Mob = tuple[int, int, int, int, int]
+
+
+def _mob_reduced(a: int, b: int, c: int, d: int, den: int) -> Mob:
+    if den < 0:
+        a, b, c, d, den = -a, -b, -c, -d, -den
+    g = gcd(a, b, c, d, den)
+    return (a // g, b // g, c // g, d // g, den // g)
 
 
 def _mob(rows) -> Mob:
@@ -29,35 +41,32 @@ def _mob(rows) -> Mob:
         raise ParseError(f"a Moebius entry must be a rational number: {exc}") from exc
     if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ParseError(f"a Moebius matrix is 2x2, got {rows}")
-    return m
+    entries = m[0] + m[1]
+    den = lcm(*(x.denominator for x in entries))
+    return _mob_reduced(*(x.numerator * (den // x.denominator) for x in entries), den)
 
 
-def _mob_mul(a: Mob, b: Mob) -> Mob:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2))
+def _mob_mul(p: Mob, q: Mob) -> Mob:
+    return _mob_reduced(p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+                        p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3],
+                        p[4] * q[4])
 
 
-def _mob_inv(a: Mob) -> Mob:
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    assert det != 0
-    return ((a[1][1] / det, -a[0][1] / det), (-a[1][0] / det, a[0][0] / det))
+def _mob_inv(p: Mob) -> Mob:
+    """(A / den)^-1 = den adj(A) / det(A), exactly: the dual ring needs the
+    true inverse, not one up to scale."""
+    a, b, c, d, den = p
+    return _mob_reduced(den * d, -den * b, -den * c, den * a, a * d - b * c)
 
 
-_MOB_ID: Mob = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+_MOB_ID: Mob = (1, 0, 0, 1, 1)
 
 
-def _mob_projectively_equal(a: Mob, b: Mob) -> bool:
-    flat_a = [x for row in a for x in row]
-    flat_b = [x for row in b for x in row]
-    for x, y in zip(flat_a, flat_b):
-        if (x == 0) != (y == 0):
-            return False
-    for x, y in zip(flat_a, flat_b):
-        if x != 0:
-            ratio = y / x
-            return all(p * ratio == q for p, q in zip(flat_a, flat_b))
-    return True
+def _mob_projectively_equal(p: Mob, q: Mob) -> bool:
+    # a nonsingular map has a nonzero entry; cross-multiplying against it
+    # also fails when q is zero there
+    pivot = next(i for i in range(4) if p[i])
+    return all(x * q[pivot] == y * p[pivot] for x, y in zip(p[:4], q[:4]))
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,9 @@ class FactorAutomorphism:
         if len(self.mobius) != d:
             raise ParseError(f"{len(self.mobius)} Moebius maps for {d} factors")
         for g in self.mobius:
-            if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 0:
-                raise ParseError(f"singular Moebius matrix "
-                                 f"{[[str(x) for x in row] for row in g]}")
+            if g[0] * g[3] - g[1] * g[2] == 0:
+                rows = [[str(Fraction(x, g[4])) for x in g[i:i + 2]] for i in (0, 2)]
+                raise ParseError(f"singular Moebius matrix {rows}")
 
     @property
     def d(self) -> int:
@@ -98,7 +107,8 @@ class FactorAutomorphism:
 
     def compose(self, other: "FactorAutomorphism") -> "FactorAutomorphism":
         """self after other (self(other(p)))."""
-        assert self.d == other.d
+        if self.d != other.d:
+            raise ParseError(f"cannot compose maps of {self.d} and {other.d} factors")
         perm = tuple(other.perm[self.perm[k]] for k in range(self.d))
         mob = tuple(_mob_mul(self.mobius[k], other.mobius[self.perm[k]])
                     for k in range(self.d))
@@ -174,11 +184,15 @@ class MultiSection:
     def __post_init__(self):
         d = len(self.multidegree)
         for key, c in self.terms.items():
-            assert len(key) == 2 * d
-            assert c != 0
+            if len(key) != 2 * d:
+                raise ParseError(f"exponent key {key} does not have {2 * d} entries")
+            if not c:
+                raise ParseError(f"exponent key {key} has a zero coefficient")
             for k in range(d):
-                assert key[2 * k] >= 0 and key[2 * k + 1] >= 0
-                assert key[2 * k] + key[2 * k + 1] == self.multidegree[k]
+                e, f = key[2 * k], key[2 * k + 1]
+                if e < 0 or f < 0 or e + f != self.multidegree[k]:
+                    raise ParseError(f"exponent key {key} is not a monomial of "
+                                     f"multidegree {self.multidegree}")
 
     @staticmethod
     def zero(multidegree) -> "MultiSection":
@@ -193,7 +207,9 @@ class MultiSection:
         return not self.terms
 
     def __add__(self, other: "MultiSection") -> "MultiSection":
-        assert self.multidegree == other.multidegree
+        if self.multidegree != other.multidegree:
+            raise ParseError(f"cannot add sections of multidegrees "
+                             f"{self.multidegree} and {other.multidegree}")
         out = dict(self.terms)
         for k, c in other.terms.items():
             c2 = out.get(k, Fraction(0)) + c
@@ -211,54 +227,86 @@ class MultiSection:
 
     def __mul__(self, other: "MultiSection") -> "MultiSection":
         deg = tuple(a + b for a, b in zip(self.multidegree, other.multidegree))
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                c = out.get(key, Fraction(0)) + ca * cb
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-        return MultiSection(deg, out)
+        terms_a, den_a = _integer_terms(self)
+        terms_b, den_b = _integer_terms(other)
+        out: dict[tuple[int, ...], int] = {}
+        for ka, ca in terms_a.items():
+            for kb, cb in terms_b.items():
+                key = tuple(map(add, ka, kb))
+                out[key] = out.get(key, 0) + ca * cb
+        return _section_over(deg, out, den_a * den_b)
+
+
+def _integer_terms(section: MultiSection) -> tuple[dict[tuple[int, ...], int], int]:
+    """The coefficients as integers over their least common denominator."""
+    den = lcm(*(c.denominator for c in section.terms.values()))
+    return ({k: c.numerator * (den // c.denominator)
+             for k, c in section.terms.items()}, den)
+
+
+def _section_over(multidegree, numerators, den: int) -> MultiSection:
+    """The section with coefficients numerators[key] / den."""
+    return MultiSection(multidegree, {k: Fraction(v, den)
+                                      for k, v in numerators.items() if v})
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _factor_images(g: Mob, a: int) -> list[list[tuple[tuple[int, int], int]]]:
+    """For e = 0..a, den^a x^e y^(a-e) pulled back along g: the terms
+    ((i, a - i), coefficient of x^i y^(a-i)) of the integer form
+    (alpha x + beta y)^e (gamma x + delta y)^(a-e)."""
+    alpha, beta, gamma, delta, _ = g
+    # coefficient lists indexed by the exponent of x
+    x_powers = [[1]]
+    y_powers = [[1]]
+    for _ in range(a):
+        x_powers.append(_poly_mul(x_powers[-1], [beta, alpha]))
+        y_powers.append(_poly_mul(y_powers[-1], [delta, gamma]))
+    images = []
+    for e in range(a + 1):
+        coeffs = _poly_mul(x_powers[e], y_powers[a - e])
+        images.append([((i, a - i), c) for i, c in enumerate(coeffs) if c])
+    return images
 
 
 def pullback(sigma: FactorAutomorphism, section: MultiSection) -> MultiSection:
     """Substitute: the factor-k variables become the chosen Moebius forms in
-    the variables of factor perm[k]."""
+    the variables of factor perm[k].
+
+    Each factor's binomial images are expanded once, in integers, and every
+    term maps to the product of its factors' images; the denominators of
+    the maps and of the section are divided out once per output term.
+    """
     d = sigma.d
-    assert len(section.multidegree) == d
-    new_deg = [0] * d
+    if len(section.multidegree) != d:
+        raise ParseError(f"cannot pull a section of {len(section.multidegree)} "
+                         f"factors back along a map of {d}")
+    source = [0] * d
+    for k, j in enumerate(sigma.perm):
+        source[j] = k
+    new_deg = tuple(section.multidegree[k] for k in source)
+    # output factor j carries the images of source factor k = source[j]
+    images = [_factor_images(sigma.mobius[k], section.multidegree[k]) for k in source]
+    den = 1
     for k in range(d):
-        new_deg[sigma.perm[k]] += section.multidegree[k]
-    result = MultiSection.zero(tuple(new_deg))
-    for key, coeff in section.terms.items():
-        term = MultiSection(tuple(0 for _ in range(d)),
-                            {tuple(0 for _ in range(2 * d)): coeff})
-        for k in range(d):
-            (alpha, beta), (gamma, delta) = sigma.mobius[k]
-            j = sigma.perm[k]
-            unit = [0] * d
-            unit[j] = 1
-            unit = tuple(unit)
-            xk = [0] * (2 * d); xk[2 * j] = 1
-            yk = [0] * (2 * d); yk[2 * j + 1] = 1
-            x_img = MultiSection(unit, {})
-            if alpha:
-                x_img = x_img + MultiSection(unit, {tuple(xk): alpha})
-            if beta:
-                x_img = x_img + MultiSection(unit, {tuple(yk): beta})
-            y_img = MultiSection(unit, {})
-            if gamma:
-                y_img = y_img + MultiSection(unit, {tuple(xk): gamma})
-            if delta:
-                y_img = y_img + MultiSection(unit, {tuple(yk): delta})
-            for _ in range(key[2 * k]):
-                term = term * x_img
-            for _ in range(key[2 * k + 1]):
-                term = term * y_img
-        result = result + term
-    return result
+        den *= sigma.mobius[k][4] ** section.multidegree[k]
+    numerators, section_den = _integer_terms(section)
+    out: dict[tuple[int, ...], int] = {}
+    for key, coeff in numerators.items():
+        partial = [((), coeff)]
+        for j, k in enumerate(source):
+            partial = [(head + tail, c * v) for head, c in partial
+                       for tail, v in images[j][key[2 * k]]]
+        for image_key, c in partial:
+            out[image_key] = out.get(image_key, 0) + c
+    return _section_over(new_deg, out, den * section_den)
 
 
 @dataclass(frozen=True)
@@ -285,7 +333,6 @@ class OracleRing:
         self.d = int(d)
         self.pairs = tuple((tuple(int(a) for a in deg), sigma)
                            for deg, sigma in pairs)
-        assert self.pairs, "need at least one twisted bundle"
         for deg, sigma in self.pairs:
             if len(deg) != self.d or sigma.d != self.d:
                 raise ParseError("bundle or automorphism does not match d")
@@ -459,14 +506,15 @@ def hilbert_match(ring: OracleRing, sys: BimoduleSystem, upto: int) -> MatchRepo
     skipped = 0
     mismatches = []
     for n in itertools.product(range(1, upto + 1), repeat=ring.s):
-        piece = ring.graded_piece(n)
-        if any(a < 0 for a in piece.multidegree):
+        deg = ring.graded_multidegree(n)
+        if any(a < 0 for a in deg):
             skipped += 1
             continue
         checked += 1
+        dim = section_space_dim(deg)
         expected = hilbert_value(sys, n)
-        if piece.dim != expected:
-            mismatches.append((n, piece.dim, expected))
+        if dim != expected:
+            mismatches.append((n, dim, expected))
     return MatchReport(checked, skipped, tuple(mismatches))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 import warnings
 
 import pytest
@@ -20,8 +21,16 @@ from ncample.ampleness import (
     quasi_unipotent_screen,
     sigma_ample_verdict,
 )
-from ncample.bimodule_system import class_at, combined_single, dual, make_system, veronese
+from ncample.bimodule_system import (
+    class_at,
+    combined_single,
+    dual,
+    load_system,
+    make_system,
+    veronese,
+)
 from ncample.errors import ArityError, GeometricRealizabilityWarning, NotQuasiUnipotent
+from ncample.lattice_algebra import Matrix
 from ncample.scheme_model import builtin_scheme
 
 
@@ -58,6 +67,24 @@ class TestScreen:
             rep = quasi_unipotent_screen(golden_warning())
         assert rep.entries[0].realizability_warning is not None
         assert rep.warnings
+
+    def test_one_power_per_bundle(self, monkeypatch):
+        # the order test and the nilpotency degree share the one power M^r
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "swap-ring.json")
+        with open(path, encoding="utf-8") as fh:
+            system = load_system(fh.read())
+        calls = 0
+        power = Matrix.__pow__
+
+        def counted(m, n):
+            nonlocal calls
+            calls += 1
+            return power(m, n)
+
+        monkeypatch.setattr(Matrix, "__pow__", counted)
+        rep = quasi_unipotent_screen(system)
+        assert rep.orders == (2,)
+        assert calls == 1
 
     def test_no_warning_for_permutations(self):
         with warnings.catch_warnings():

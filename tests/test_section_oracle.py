@@ -273,6 +273,178 @@ class TestCrossValidation:
             assert lhs["bimodules"] == rhs["bimodules"]
 
 
+# The rational algebra the integer kernels replaced, kept as their
+# reference: a map is (perm, Moebius rows over Fraction), a section a
+# (multidegree, terms) pair.
+
+def fraction_mob_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+        for i in range(2))
+
+
+def fraction_mob_inv(a):
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return ((a[1][1] / det, -a[0][1] / det), (-a[1][0] / det, a[0][0] / det))
+
+
+def fraction_compose(f, g):
+    (perm_f, mob_f), (perm_g, mob_g) = f, g
+    return (tuple(perm_g[p] for p in perm_f),
+            tuple(fraction_mob_mul(mob_f[k], mob_g[p]) for k, p in enumerate(perm_f)))
+
+
+def fraction_inverse(f):
+    perm, mob = f
+    inv_perm = [0] * len(perm)
+    for k, p in enumerate(perm):
+        inv_perm[p] = k
+    return tuple(inv_perm), tuple(fraction_mob_inv(mob[k]) for k in inv_perm)
+
+
+def fraction_power(f, n):
+    base = f if n >= 0 else fraction_inverse(f)
+    one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    result = (tuple(range(len(f[0]))), (one,) * len(f[0]))
+    for _ in range(abs(n)):
+        result = fraction_compose(result, base)
+    return result
+
+
+def fraction_section_mul(a, b):
+    (deg_a, terms_a), (deg_b, terms_b) = a, b
+    out = {}
+    for ka, ca in terms_a.items():
+        for kb, cb in terms_b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            c = out.get(key, Fraction(0)) + ca * cb
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+    return tuple(x + y for x, y in zip(deg_a, deg_b)), out
+
+
+def fraction_pullback(f, section):
+    (perm, mob), (deg, terms) = f, section
+    d = len(perm)
+    new_deg = [0] * d
+    for k in range(d):
+        new_deg[perm[k]] += deg[k]
+    result = {}
+    for key, coeff in terms.items():
+        term = ((0,) * d, {(0,) * (2 * d): coeff})
+        for k in range(d):
+            (alpha, beta), (gamma, delta) = mob[k]
+            j = perm[k]
+            unit = tuple(int(i == j) for i in range(d))
+            x, y = [0] * (2 * d), [0] * (2 * d)
+            x[2 * j] = y[2 * j + 1] = 1
+            x_img = (unit, {k2: c for k2, c in ((tuple(x), alpha), (tuple(y), beta)) if c})
+            y_img = (unit, {k2: c for k2, c in ((tuple(x), gamma), (tuple(y), delta)) if c})
+            for _ in range(key[2 * k]):
+                term = fraction_section_mul(term, x_img)
+            for _ in range(key[2 * k + 1]):
+                term = fraction_section_mul(term, y_img)
+        for k2, c in term[1].items():
+            c = result.get(k2, Fraction(0)) + c
+            if c:
+                result[k2] = c
+            else:
+                del result[k2]
+    return tuple(new_deg), result
+
+
+def fraction_rows(sigma):
+    """Each factor of a FactorAutomorphism as Fraction rows."""
+    return tuple(((Fraction(a, den), Fraction(b, den)), (Fraction(c, den), Fraction(d, den)))
+                 for a, b, c, d, den in sigma.mobius)
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5)))
+
+
+def random_map(rng, d):
+    """A factor automorphism with rational, mostly non-unimodular factors,
+    as the library map and its Fraction reference."""
+    perm = list(range(d))
+    rng.shuffle(perm)
+    rows = []
+    for _ in range(d):
+        while True:
+            m = ((random_rational(rng), random_rational(rng)),
+                 (random_rational(rng), random_rational(rng)))
+            if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+                break
+        rows.append(m)
+    sigma = FactorAutomorphism.build([p + 1 for p in perm],
+                                     [[[str(x) for x in r] for r in m] for m in rows])
+    return sigma, (tuple(perm), tuple(rows))
+
+
+def random_section(rng, deg):
+    terms = {k: random_rational(rng) for k in monomial_basis(deg)}
+    return MultiSection(tuple(deg), {k: c for k, c in terms.items() if c})
+
+
+class TestAgainstFractionAlgebra:
+    """compose, inverse, power, pullback and section products against the
+    Fraction algebra they replaced, on maps with det != +-1."""
+
+    def test_maps(self):
+        rng = random.Random(20)
+        unimodular = 0
+        for _ in range(150):
+            d = rng.randint(1, 3)
+            (f, ref_f), (g, ref_g) = random_map(rng, d), random_map(rng, d)
+            unimodular += all(abs(a * e - b * c) == 1
+                              for (a, b), (c, e) in ref_f[1])
+            n = rng.randint(-4, 4)
+            for got, want in ((f.compose(g), fraction_compose(ref_f, ref_g)),
+                              (f.inverse(), fraction_inverse(ref_f)),
+                              (f.power(n), fraction_power(ref_f, n))):
+                assert got.perm == want[0]
+                assert fraction_rows(got) == want[1]
+        assert unimodular < 5
+
+    def test_pullback_and_products(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            d = rng.randint(1, 3)
+            f, ref_f = random_map(rng, d)
+            sec = random_section(rng, [rng.randint(0, 3) for _ in range(d)])
+            other = random_section(rng, [rng.randint(0, 2) for _ in range(d)])
+            ref_sec = (sec.multidegree, sec.terms)
+            n = rng.randint(-3, 3)
+            for g, ref_g in ((f, ref_f), (f.inverse(), fraction_inverse(ref_f)),
+                             (f.power(n), fraction_power(ref_f, n))):
+                img = pullback(g, sec)
+                assert (img.multidegree, img.terms) == fraction_pullback(ref_g, ref_sec)
+            prod = sec * other
+            assert (prod.multidegree, prod.terms) == \
+                fraction_section_mul(ref_sec, (other.multidegree, other.terms))
+
+    def test_inverse_is_exact(self):
+        # the dual ring needs the inverse itself: diag(2, 1) and its
+        # adjugate diag(1, 2) agree only up to scale
+        f = FactorAutomorphism.build([1], [[["2", "0"], ["0", "1"]]])
+        x = MultiSection.monomial((1,), (1, 0))
+        assert pullback(f.inverse(), x).terms == {(1, 0): Fraction(1, 2)}
+        assert pullback(f.compose(f.inverse()), x) == x
+
+    def test_rational_diagonal_ring_cross_validates(self):
+        shrink = [["-3/4", "0"], ["0", "1"]]
+        scale = [["1/2", "0"], ["0", "5/3"]]
+        ring = OracleRing(2, [
+            ((1, 0), FactorAutomorphism.build([2, 1], [shrink, shrink])),
+            ((1, 1), FactorAutomorphism.build([1, 2], [scale, scale]))])
+        report = cross_validate(ring, ring.numerical_shadow(), grade_range=2,
+                                samples=10, opposite_samples=10, seed=5,
+                                triple=(0, 1, 0))
+        assert report["ok"], report
+
+
 class TestLoadOracle:
     def _doc(self):
         return {
@@ -308,7 +480,8 @@ class TestLoadOracle:
 
 _BAD_ARGUMENTS = """
 from ncample.errors import ParseError
-from ncample.section_oracle import FactorAutomorphism, OracleRing, bergman_check
+from ncample.section_oracle import (FactorAutomorphism, MultiSection, OracleRing,
+                                    bergman_check, pullback)
 
 ident = FactorAutomorphism.identity(1)
 swap = FactorAutomorphism.build([2, 1], [[[1, 0], [0, 1]]] * 2)
@@ -322,7 +495,16 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
              lambda: FactorAutomorphism.build([1, 1], [one, one]),
              lambda: FactorAutomorphism.build([2, 1], [one]),
              lambda: FactorAutomorphism.build([1], [[[1, 2], [2, 4]]]),
-             lambda: FactorAutomorphism.build([1], [[[1, 0]]])):
+             lambda: FactorAutomorphism.build([1], [[[1, 0]]]),
+             lambda: MultiSection((1,), {(2, 0): 1}),
+             lambda: MultiSection((1,), {(1,): 1}),
+             lambda: MultiSection((1,), {(2, -1): 1}),
+             lambda: MultiSection((1,), {(1, 0): 0}),
+             lambda: MultiSection.monomial((1,), (1, 0))
+                     + MultiSection.monomial((2,), (1, 1)),
+             lambda: FactorAutomorphism.identity(2).compose(FactorAutomorphism.identity(3)),
+             lambda: pullback(FactorAutomorphism.identity(2),
+                              MultiSection.monomial((1,), (1, 0)))):
     try:
         print(call())
     except ParseError:
@@ -332,4 +514,4 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
 
 def test_bad_arguments_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 8
+    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 15
