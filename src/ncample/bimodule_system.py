@@ -59,12 +59,6 @@ class BimoduleSystem:
     def s(self) -> int:
         return len(self.bimodules)
 
-    def divisors(self):
-        return [b.divisor for b in self.bimodules]
-
-    def actions(self):
-        return [b.action for b in self.bimodules]
-
 
 def make_system(scheme, pairs, stars=None) -> BimoduleSystem:
     """Assemble a system from (divisor, action) pairs of plain sequences."""
@@ -76,8 +70,9 @@ def make_system(scheme, pairs, stars=None) -> BimoduleSystem:
     return BimoduleSystem(scheme, tuple(bims))
 
 
-def class_at(sys: BimoduleSystem, n) -> DivisorClass:
-    """Divisor class of the n-fold twisted product, exactly.
+def _twisted_product(sys: BimoduleSystem, n) -> tuple[tuple[int, ...], Matrix]:
+    """Class coordinates and action M_1^(n_1)...M_s^(n_s) of the n-fold
+    twisted product, exactly.
 
     The a-th factor contributes the partial orbit sum of its divisor,
     transported by the accumulated actions of the earlier factors.
@@ -93,7 +88,12 @@ def class_at(sys: BimoduleSystem, n) -> DivisorClass:
         part = prefix.apply(part)
         total = tuple(t + p for t, p in zip(total, part))
         prefix = prefix * (bim.action ** n_a)
-    return DivisorClass(total)
+    return total, prefix
+
+
+def class_at(sys: BimoduleSystem, n) -> DivisorClass:
+    """Divisor class of the n-fold twisted product, exactly."""
+    return DivisorClass(_twisted_product(sys, n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +154,10 @@ def branch_class_polys(sys: BimoduleSystem,
             columns.setdefault(key, [0] * rho)[i] = coeff
     branches = {}
     for residue in itertools.product(*(range(r) for r in periods)):
-        single = combined_single(sys, residue).bimodules[0]
-        vectors = {key: single.action.apply(col) for key, col in columns.items()}
+        coords, action = _twisted_product(sys, residue)
+        vectors = {key: action.apply(col) for key, col in columns.items()}
         # the strided class vanishes at q = 0, so its keys miss the origin
-        vectors[(0,) * sys.s] = single.divisor.coords
+        vectors[(0,) * sys.s] = coords
         branches[residue] = _as_polys(sys.s, rho, vectors)
     return branches
 
@@ -194,13 +194,9 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
 
 def combined_single(sys: BimoduleSystem, n) -> BimoduleSystem:
     """Collapse the n-fold product to a single twisted divisor."""
-    nv = tuple(int(x) for x in n)
-    div = class_at(sys, nv)
-    action = Matrix.identity(sys.scheme.rho)
-    for bim, n_a in zip(sys.bimodules, nv):
-        action = action * (bim.action ** n_a)
+    coords, action = _twisted_product(sys, n)
     star = any(b.star for b in sys.bimodules)
-    return BimoduleSystem(sys.scheme, (Bimodule(div, action, star),))
+    return BimoduleSystem(sys.scheme, (Bimodule(DivisorClass(coords), action, star),))
 
 
 def rees(sys: BimoduleSystem) -> BimoduleSystem:

@@ -165,12 +165,6 @@ class UniPoly:
                 out[i + j] += a * b
         return UniPoly.from_coeffs(out)
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def divide_exact(self, divisor: "UniPoly") -> "UniPoly | None":
         """Quotient by a monic divisor when the division is exact over Z."""
         assert divisor.coeffs and divisor.coeffs[-1] == 1, "divisor must be monic"

@@ -342,26 +342,12 @@ def compose(outer: MultiPoly, inner) -> MultiPoly:
                         lambda n: outer.evaluate([a.evaluate(n) for a in args]))
 
 
-def _restrict_to_ray(mono: dict, base, direction) -> list[Fraction]:
-    """Univariate coefficients (lowest first) of t -> p(base + t*direction)."""
-    out = [Fraction(0)]
-    for expts, coeff in mono.items():
-        term = [coeff]
-        for b, v, e in zip(base, direction, expts):
-            for _ in range(e):
-                # multiply by (b + v t)
-                nxt = [Fraction(0)] * (len(term) + 1)
-                for i, c in enumerate(term):
-                    nxt[i] += c * b
-                    nxt[i + 1] += c * v
-                term = nxt
-        if len(term) > len(out):
-            out.extend([Fraction(0)] * (len(term) - len(out)))
-        for i, c in enumerate(term):
-            out[i] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _restrict_to_ray(p: MultiPoly, base, direction) -> list[Fraction]:
+    """Monomial coefficients (lowest first) of t -> p(base + t*direction)."""
+    ray = compose(p, [MultiPoly.constant(1, b) + MultiPoly(1, {(1,): v})
+                      for b, v in zip(base, direction)])
+    mono = ray.to_monomials()
+    return [mono.get((e,), Fraction(0)) for e in range(max(ray.total_degree(), 0) + 1)]
 
 
 def _sign_stable_threshold(coeffs: list[Fraction]) -> int:
@@ -449,22 +435,19 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
     t = _least_certifying_shift(p, search_bound)
     if t is not None:
         return PositivityResult("yes", m0=(t,) * s)
-    mono = p.to_monomials()
-    top_degree = max(sum(e) for e in mono)
-    top = {e: c for e, c in mono.items() if sum(e) == top_degree}
+    # C(n,k) = n^k/k! + lower terms, so D! times the top form is integral
+    degree = p.total_degree()
+    top = {k: c * math.factorial(degree) // math.prod(map(math.factorial, k))
+           for k, c in p.terms.items() if sum(k) == degree}
     origin = (0,) * s
     degenerate: list[tuple[int, ...]] = []
     for v in itertools.product(range(1, search_bound + 1), repeat=s):
-        lead = Fraction(0)
-        for e, c in top.items():
-            w = c
-            for vi, ei in zip(v, e):
-                w *= vi ** ei
-            lead += w
+        # D! times the restriction's top coefficient, from any base
+        lead = sum(c * math.prod(vi ** ki for vi, ki in zip(v, k))
+                   for k, c in top.items())
         if lead > 0:
             continue
-        # from the origin the restriction's top coefficient is lead itself
-        coeffs = _restrict_to_ray(mono, origin, v)
+        coeffs = _restrict_to_ray(p, origin, v)
         if coeffs[-1] < 0:
             return PositivityResult("no", base=origin, direction=v,
                                     threshold=_sign_stable_threshold(coeffs))
@@ -474,7 +457,7 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
         if base == origin:
             continue
         for v in degenerate:
-            coeffs = _restrict_to_ray(mono, base, v)
+            coeffs = _restrict_to_ray(p, base, v)
             if coeffs[-1] < 0:
                 return PositivityResult("no", base=base, direction=v,
                                         threshold=_sign_stable_threshold(coeffs))

@@ -36,9 +36,6 @@ class DivisorClass:
     def __getitem__(self, i):
         return self.coords[i]
 
-    def __add__(self, other):
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, tuple(other))))
-
 
 def _strict_int(value, what: str) -> int:
     """An int, or a string spelling one; bools, floats and anything else
@@ -102,7 +99,7 @@ class NumericalScheme:
         v = as_coords(c)
         if len(v) != self.rho:
             raise ParseError(f"class {v} has length {len(v)}, expected {self.rho}")
-        return all(sum(r * x for r, x in zip(row, v)) > 0 for row in self.cone)
+        return _strictly_positive(self.cone, v)
 
     def euler_at(self, c) -> int:
         return self.euler.evaluate(as_coords(c))
@@ -263,24 +260,24 @@ def _as_dict(document) -> dict:
 
 def p1_power_scheme(d: int) -> NumericalScheme:
     """Product of d projective lines: dim d, rank d, counting product (n_i + 1)."""
-    assert d >= 1
-    monomials = {}
-    for subset in itertools.product((0, 1), repeat=d):
-        monomials[subset] = Fraction(1)
-    euler = MultiPoly.from_monomials(d, monomials)
+    if d < 1:
+        raise ParseError(f"a product of projective lines needs d >= 1, got {d}")
+    # prod (C(n_i,1) + 1) expands to every 0/1 exponent with coefficient 1
+    euler = MultiPoly(d, dict.fromkeys(itertools.product((0, 1), repeat=d), 1))
     cone = tuple(tuple(1 if j == i else 0 for j in range(d)) for i in range(d))
     name = {1: "P1", 2: "P1xP1"}.get(d, f"P1^{d}")
     return NumericalScheme.build(name, d, d, euler, cone, interior_hint=(1,) * d)
 
 
 def _p2_scheme() -> NumericalScheme:
-    euler = MultiPoly.from_monomials(
-        1, {(2,): Fraction(1, 2), (1,): Fraction(3, 2), (0,): Fraction(1)})
+    # (n+1)(n+2)/2 = C(n,2) + 2 C(n,1) + 1
+    euler = MultiPoly(1, {(2,): 1, (1,): 2, (0,): 1})
     return NumericalScheme.build("P2", 2, 1, euler, ((1,),), interior_hint=(1,))
+
 
 def _abelian_surface_scheme() -> NumericalScheme:
     # rank-2 hyperbolic model: counting polynomial a*b, trivial-class count 0
-    euler = MultiPoly.from_monomials(2, {(1, 1): Fraction(1)})
+    euler = MultiPoly(2, {(1, 1): 1})
     return NumericalScheme.build(
         "AbelianSurfaceHyperbolic", 2, 2, euler, ((1, 0), (0, 1)),
         interior_hint=(1, 1))

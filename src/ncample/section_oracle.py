@@ -195,16 +195,9 @@ class MultiSection:
                                      f"multidegree {self.multidegree}")
 
     @staticmethod
-    def zero(multidegree) -> "MultiSection":
-        return MultiSection(tuple(int(a) for a in multidegree), {})
-
-    @staticmethod
     def monomial(multidegree, key, coeff=1) -> "MultiSection":
         return MultiSection(tuple(int(a) for a in multidegree),
                             {tuple(key): Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other: "MultiSection") -> "MultiSection":
         if self.multidegree != other.multidegree:
@@ -218,12 +211,6 @@ class MultiSection:
             elif k in out:
                 del out[k]
         return MultiSection(self.multidegree, out)
-
-    def scale(self, c) -> "MultiSection":
-        c = Fraction(c)
-        if not c:
-            return MultiSection.zero(self.multidegree)
-        return MultiSection(self.multidegree, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "MultiSection") -> "MultiSection":
         deg = tuple(a + b for a, b in zip(self.multidegree, other.multidegree))

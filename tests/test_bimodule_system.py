@@ -11,6 +11,7 @@ from corpus import (
     duality_corpus,
     golden_pair,
     golden_swap,
+    golden_warning,
     unipotent_corpus,
 )
 from ncample.bimodule_system import (
@@ -194,13 +195,18 @@ class TestConstructors:
             veronese(golden_pair(), (0, 1))
 
     def test_combined_single(self):
-        sys = golden_pair()
-        for n in ((1, 1), (2, 3)):
-            comb = combined_single(sys, n)
-            assert comb.s == 1
-            for m in range(7):
-                scaled = tuple(m * x for x in n)
-                assert class_at(comb, (m,)).coords == class_at(sys, scaled).coords
+        # golden_warning's action is the shear [[1, 1], [0, 1]]
+        for sys in (golden_pair(), golden_swap(), golden_warning()):
+            for n in ((1,) * sys.s, (2, 3)[:sys.s], (5, 2)[:sys.s]):
+                comb = combined_single(sys, n)
+                assert comb.s == 1
+                action = Matrix.identity(sys.scheme.rho)
+                for bim, n_a in zip(sys.bimodules, n):
+                    action = action * bim.action ** n_a
+                assert comb.bimodules[0].action == action
+                for m in range(7):
+                    scaled = tuple(m * x for x in n)
+                    assert class_at(comb, (m,)).coords == class_at(sys, scaled).coords
 
     def test_rees_duplicates(self):
         sys = golden_swap()

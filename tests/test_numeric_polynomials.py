@@ -13,6 +13,7 @@ from ncample.bimodule_system import load_system, product, symbolic_class, verone
 from ncample.errors import NotIntegerValued
 from ncample.numeric_polynomials import (
     MultiPoly,
+    _restrict_to_ray,
     binom_int,
     box_sum,
     compose,
@@ -207,6 +208,27 @@ def fraction_compose(outer: MultiPoly, inner) -> MultiPoly:
     return MultiPoly.from_monomials(nvars, acc)
 
 
+def monomial_restrict_to_ray(mono: dict, base, direction) -> list[Fraction]:
+    """Reference ray restriction: each rational monomial multiplied out along
+    t -> base + t*direction, coefficients lowest first."""
+    out = [Fraction(0)]
+    for expts, coeff in mono.items():
+        term = [coeff]
+        for b, v, e in zip(base, direction, expts):
+            for _ in range(e):
+                nxt = [Fraction(0)] * (len(term) + 1)
+                for i, c in enumerate(term):
+                    nxt[i] += c * b
+                    nxt[i + 1] += c * v
+                term = nxt
+        out.extend([Fraction(0)] * (len(term) - len(out)))
+        for i, c in enumerate(term):
+            out[i] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 
@@ -234,7 +256,8 @@ def gk_inputs():
 
 
 class TestAgainstFractionAlgebra:
-    """compose and box_sum against the rational monomial algebra they replaced."""
+    """compose, box_sum and the ray restriction against the rational monomial
+    algebra they replaced."""
 
     def test_gk_inputs(self):
         seen = 0
@@ -255,6 +278,29 @@ class TestAgainstFractionAlgebra:
            box_polys((2, 0, 1)), box_polys((1, 3, 0)), box_polys((0, 1, 2)))
     def test_trivariate_inner(self, outer, f, g, h):
         assert compose(outer, [f, g, h]) == fraction_compose(outer, [f, g, h])
+
+    def test_ray_restriction(self):
+        rng = random.Random(11)
+        zero = away = 0
+        for _ in range(600):
+            s = rng.randint(1, 3)
+            p = random_poly(rng, s)
+            base = [0] * s
+            if rng.random() < 0.5:
+                base = [rng.randint(0, 6) for _ in range(s)]
+            v = [rng.randint(1, 6) for _ in range(s)]
+            if s > 1 and rng.random() < 0.3:
+                # (n1 - n2) q vanishes along a ray with v1 = v2 from a base
+                # with b1 = b2
+                diff = MultiPoly(s, {(1, 0, 0)[:s]: 1, (0, 1, 0)[:s]: -1})
+                p = diff * random_poly(rng, s, degree=2)
+                base[1], v[1] = base[0], v[0]
+            got = _restrict_to_ray(p, base, v)
+            assert got == monomial_restrict_to_ray(p.to_monomials(), base, v), \
+                (p.to_monomials(), base, v)
+            zero += got == [0]
+            away += any(base)
+        assert zero > 20 and away > 200
 
 
 class TestEventuallyPositive:

@@ -2,11 +2,13 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from corpus import run_optimized
 from ncample.errors import EmptyCone, NotIntegerValued, ParseError
+from ncample.numeric_polynomials import MultiPoly
 from ncample.scheme_model import (
     DivisorClass,
     builtin_names,
@@ -73,6 +75,18 @@ class TestBuiltins:
         assert s3.name == "P1^3"
         assert p1_power_scheme(1).name == "P1"
         assert p1_power_scheme(2).name == "P1xP1"
+
+    def test_euler_matches_monomials(self):
+        # the builtins state their counting polynomials in the binomial
+        # basis; each must be the conversion of its monomial form
+        wanted = [(p1_power_scheme(d),
+                   dict.fromkeys(itertools.product((0, 1), repeat=d), 1))
+                  for d in range(1, 6)]
+        wanted.append((builtin_scheme("P2"),
+                       {(2,): Fraction(1, 2), (1,): Fraction(3, 2), (0,): 1}))
+        wanted.append((builtin_scheme("AbelianSurfaceHyperbolic"), {(1, 1): 1}))
+        for scheme, monomials in wanted:
+            assert scheme.euler == MultiPoly.from_monomials(scheme.rho, monomials)
 
 
 class TestAmpleness:
@@ -215,7 +229,7 @@ from ncample.errors import ParseError
 from ncample.lattice_algebra import Matrix, geometric_sum
 from ncample.numeric_polynomials import MultiPoly, binom_int, compose
 from ncample.scheme_model import (DivisorClass, NumericalScheme,
-                                  builtin_scheme, load_scheme)
+                                  builtin_scheme, load_scheme, p1_power_scheme)
 
 def doc(**changes):
     base = {"name": "x", "dim": 1, "rho": 1, "ample_cone": [[1]],
@@ -237,6 +251,7 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: DivisorClass((1.5,)),
              lambda: DivisorClass((True,)),
              lambda: builtin_scheme("P1").is_ample((1, 0)),
+             lambda: p1_power_scheme(-1),
              lambda: load_system(dict(builtin_scheme("P1").to_document(),
                                       bimodules=[{"divisor": [1],
                                                   "matrix": [[1, 0]]}])),
@@ -272,4 +287,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 35
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 36
