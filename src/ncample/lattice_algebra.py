@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .errors import NonInvertible, NotNilpotent, ParseError
 
@@ -36,7 +37,9 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
-        return Matrix(tuple(tuple(int(e) for e in row) for row in rows))
+        """A matrix from a sequence of rows; any entry that is not an int
+        raises ParseError instead of being truncated."""
+        return Matrix(tuple(map(tuple, rows)))
 
     @staticmethod
     def identity(rho: int) -> "Matrix":
@@ -55,11 +58,15 @@ class Matrix:
                             for r1, r2 in zip(self.entries, other.entries)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        n = self.rho
+        if other.rho != self.rho:
+            raise ParseError(f"cannot multiply matrices of rank {self.rho} and {other.rho}")
         cols = tuple(zip(*other.entries))
-        return Matrix(tuple(
-            tuple(sum(self.entries[i][k] * cols[j][k] for k in range(n)) for j in range(n))
-            for i in range(n)))
+        # a product of two valid matrices of one rank is a square int array,
+        # so it skips the __post_init__ check
+        product = object.__new__(Matrix)
+        object.__setattr__(product, "entries", tuple(
+            tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries))
+        return product
 
     def scale(self, c: int) -> "Matrix":
         return Matrix(tuple(tuple(c * e for e in row) for row in self.entries))

@@ -33,6 +33,7 @@ def _expect_len(what: str, got: int, want: int) -> None:
         raise ParseError(f"{what}: got {got}, expected {want}")
 
 
+@functools.cache
 def _mono_to_binom_row(e: int) -> tuple[int, ...]:
     """Coefficients of x^e in the basis C(x,0..e).
 
@@ -49,17 +50,55 @@ def _mono_to_binom_row(e: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _binom_to_mono_row(k: int) -> tuple[Fraction, ...]:
-    """Monomial coefficients of C(x,k) = x(x-1)...(x-k+1)/k!."""
-    coeffs = [Fraction(1)]
+@functools.cache
+def _falling_row(k: int) -> tuple[int, ...]:
+    """Monomial coefficients of x(x-1)...(x-k+1) = k! C(x,k), lowest first."""
+    row = [1]
     for j in range(k):
-        coeffs = [Fraction(0)] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= j * coeffs[i + 1]
-    fact = 1
-    for j in range(2, k + 1):
-        fact *= j
-    return tuple(c / fact for c in coeffs)
+        # multiply by x - j
+        row = [a - j * b for a, b in zip([0] + row, row + [0])]
+    return tuple(row)
+
+
+def _change_basis(terms: dict[Exponents, int], rows) -> dict[Exponents, int]:
+    """Change the one-variable basis on each axis in turn, in integers.
+
+    On axis j the basis element of index e becomes
+    sum_k rows[j][e][k] * (new basis element of index k); coefficients
+    that cancel are dropped.
+    """
+    for j, row in enumerate(rows):
+        out: dict[Exponents, int] = {}
+        for key, c in terms.items():
+            head, tail = key[:j], key[j + 1:]
+            for k, w in enumerate(row[key[j]]):
+                if w:
+                    new = head + (k,) + tail
+                    out[new] = out.get(new, 0) + c * w
+        terms = {key: c for key, c in out.items() if c}
+    return terms
+
+
+def _values(p: "MultiPoly", coords) -> list[int]:
+    """p at many points together; coords[j] lists the j-th coordinate of
+    every point.
+
+    C(x_j, k) is computed once per axis and point, for k up to p's degree
+    in x_j, and the terms are contracted one axis at a time, last axis
+    first, on vectors over the points.
+    """
+    npoints = len(coords[0])
+    level = {key: [c] * npoints for key, c in p.terms.items()}
+    for j in reversed(range(p.nvars)):
+        column = [[binom_int(x, k) for x in coords[j]] for k in range(p.degree_in(j) + 1)]
+        out: dict[Exponents, list[int]] = {}
+        for key, vec in level.items():
+            head = key[:-1]
+            term = [v * x for v, x in zip(vec, column[key[-1]])]
+            prev = out.get(head)
+            out[head] = term if prev is None else [a + b for a, b in zip(prev, term)]
+        level = out
+    return level.get((), [0] * npoints)
 
 
 @dataclass(frozen=True)
@@ -90,60 +129,57 @@ class MultiPoly:
         """Convert a monomial dict {exponents: rational} to the binomial basis.
 
         Raises NotIntegerValued when the input is not integer-valued on
-        integer points.
+        integer points, naming the first binomial exponents in sorted order
+        whose coefficient is not an integer.
         """
-        acc: dict[Exponents, Fraction] = {}
+        rational: dict[Exponents, Fraction] = {}
         for expts, coeff in dict(monomials).items():
-            expts = tuple(int(e) for e in expts)
             _expect_len("monomial exponent count", len(expts), nvars)
+            if any(type(e) is not int or e < 0 for e in expts):
+                raise ParseError(f"monomial exponents must be integers >= 0, "
+                                 f"got {list(expts)}")
             q = Fraction(coeff)
-            if not q:
-                continue
-            rows = [_mono_to_binom_row(e) for e in expts]
-            for key in itertools.product(*(range(len(r)) for r in rows)):
-                weight = 1
-                for r, k in zip(rows, key):
-                    weight *= r[k]
-                if not weight:
-                    continue
-                c = acc.get(key, Fraction(0)) + q * weight
-                if c:
-                    acc[key] = c
-                elif key in acc:
-                    del acc[key]
-        for key in sorted(acc):
-            if acc[key].denominator != 1:
-                raise NotIntegerValued(key, acc[key])
-        return MultiPoly(nvars, {k: int(c) for k, c in acc.items()})
+            if q:
+                rational[tuple(expts)] = q
+        # clear the denominators, map x^e to its binomial row, divide back
+        den = math.lcm(*(q.denominator for q in rational.values()))
+        scaled = {k: q.numerator * (den // q.denominator) for k, q in rational.items()}
+        degrees = [max((k[j] for k in scaled), default=0) for j in range(nvars)]
+        rows = [[_mono_to_binom_row(e) for e in range(d + 1)] for d in degrees]
+        terms = _change_basis(scaled, rows)
+        for key in sorted(terms):
+            if terms[key] % den:
+                raise NotIntegerValued(key, Fraction(terms[key], den))
+        return MultiPoly(nvars, {k: c // den for k, c in terms.items()})
 
     def to_monomials(self) -> dict[Exponents, Fraction]:
-        acc: dict[Exponents, Fraction] = {}
-        for key, coeff in self.terms.items():
-            rows = [_binom_to_mono_row(k) for k in key]
-            for expts in itertools.product(*(range(len(r)) for r in rows)):
-                weight = Fraction(1)
-                for r, e in zip(rows, expts):
-                    weight *= r[e]
-                if not weight:
-                    continue
-                c = acc.get(expts, Fraction(0)) + coeff * weight
-                if c:
-                    acc[expts] = c
-                elif expts in acc:
-                    del acc[expts]
-        return acc
+        """The monomial coefficients {exponents: rational}.
+
+        On an axis of degree d the basis changes through the integer rows
+        d!/k! * x(x-1)...(x-k+1) = d! C(x,k), so only the final division by
+        the product of the d! is rational.
+        """
+        if not self.terms:
+            return {}
+        degrees = [self.degree_in(j) for j in range(self.nvars)]
+        rows = [[tuple(c * (math.factorial(d) // math.factorial(k)) for c in _falling_row(k))
+                 for k in range(d + 1)] for d in degrees]
+        den = math.prod(map(math.factorial, degrees))
+        return {k: Fraction(c, den) for k, c in _change_basis(self.terms, rows).items()}
 
     def evaluate(self, point) -> int:
         pt = tuple(point)
         _expect_len("evaluation point length", len(pt), self.nvars)
+        if not self.terms:
+            return 0
+        # C(x_j, k) once per axis, for k up to the degree in x_j
+        tables = [[binom_int(x, k) for k in range(d + 1)]
+                  for x, d in zip(pt, map(max, zip(*self.terms)))]
         total = 0
-        for key, coeff in self.terms.items():
-            prod = coeff
-            for n, k in zip(pt, key):
-                if prod == 0:
-                    break
-                prod *= binom_int(n, k)
-            total += prod
+        for key, c in self.terms.items():
+            for table, k in zip(tables, key):
+                c *= table[k]
+            total += c
         return total
 
     def is_zero(self) -> bool:
@@ -188,7 +224,8 @@ class MultiPoly:
         _expect_len("factor variable count", other.nvars, self.nvars)
         degrees = [self.degree_in(j) + other.degree_in(j) for j in range(self.nvars)]
         return _interpolate(degrees, self.total_degree() + other.total_degree(),
-                            lambda n: self.evaluate(n) * other.evaluate(n))
+                            lambda coords: [a * b for a, b in zip(_values(self, coords),
+                                                                  _values(other, coords))])
 
     def shift(self, t) -> "MultiPoly":
         """The polynomial n -> self(n + t), exactly, via Vandermonde."""
@@ -293,12 +330,18 @@ def _interpolate(degrees, total: int, f) -> MultiPoly:
     """The polynomial with values f(k) whose binomial exponents k all lie in
     the lower set  k_j <= degrees[j], sum(k) <= total.
 
-    Its coefficient at k is the forward difference Delta^k f(0), an integer
-    when f is integer-valued.  Differencing one axis at a time stays inside
-    the set, since each of its lines along an axis starts at 0.
+    f receives every point of the set at once, as coordinate lists (the
+    j-th lists the j-th coordinate of each point), and returns their values
+    in that order.  The coefficient at k is the forward difference
+    Delta^k f(0), an integer when f is integer-valued.  Differencing one
+    axis at a time stays inside the set, since each of its lines along an
+    axis starts at 0.
     """
-    values = {k: f(k) for k in itertools.product(*(range(d + 1) for d in degrees))
-              if sum(k) <= total}
+    points = [k for k in itertools.product(*(range(d + 1) for d in degrees))
+              if sum(k) <= total]
+    if not points:
+        return MultiPoly.zero(len(degrees))
+    values = dict(zip(points, f(list(zip(*points)))))
     for j, d in enumerate(degrees):
         for m in range(1, d + 1):
             values = {k: c - values[k[:j] + (k[j] - 1,) + k[j + 1:]] if k[j] >= m else c
@@ -314,9 +357,9 @@ def box_sum(p: MultiPoly) -> MultiPoly:
     n = 0..deg p + s determine it.
     """
     degree = p.total_degree() + p.nvars
-    return _interpolate((degree,), degree, lambda n: sum(
-        c * math.prod(math.comb(n[0] + 1, k + 1) - (k == 0) for k in key)
-        for key, c in p.terms.items()))
+    return _interpolate((degree,), degree, lambda coords: [sum(
+        c * math.prod(math.comb(n + 1, k + 1) - (k == 0) for k in key)
+        for key, c in p.terms.items()) for n in coords[0]])
 
 
 def compose(outer: MultiPoly, inner) -> MultiPoly:
@@ -324,7 +367,8 @@ def compose(outer: MultiPoly, inner) -> MultiPoly:
 
     A term prod_i C(x_i, k_i) of outer becomes a polynomial of degree at most
     sum_i k_i * deg(inner_i) in each n_j and in total, so the composition is
-    interpolated from its integer values on that box cut by that total.
+    interpolated from its integer values on that box cut by that total.  The
+    inner and outer polynomials are evaluated at all those points together.
     """
     args = list(inner)
     _expect_len("number of inner polynomials", len(args), outer.nvars)
@@ -339,7 +383,7 @@ def compose(outer: MultiPoly, inner) -> MultiPoly:
 
     degrees = [bound(lambda a: a.degree_in(j)) for j in range(nvars)]
     return _interpolate(degrees, bound(MultiPoly.total_degree),
-                        lambda n: outer.evaluate([a.evaluate(n) for a in args]))
+                        lambda coords: _values(outer, [_values(a, coords) for a in args]))
 
 
 def _restrict_to_ray(p: MultiPoly, base, direction) -> list[Fraction]:
@@ -383,8 +427,8 @@ def _some_shift_certifies(p: MultiPoly, shifted) -> bool:
     constant = (0,) * p.nvars
     keys = {constant}.union(*(shifted(t).terms for t in range(degree + 1)))
     for key in keys:
-        trend = _interpolate((degree,), degree,
-                             lambda t: shifted(t[0]).terms.get(key, 0)).terms
+        trend = _interpolate((degree,), degree, lambda coords: [
+            shifted(t).terms.get(key, 0) for t in coords[0]]).terms
         lead = trend[max(trend)] if trend else 0
         if lead < 0 or (key == constant and lead == 0):
             return False

@@ -49,9 +49,11 @@ def _strict_int(value, what: str) -> int:
 
 
 def as_coords(vec) -> tuple[int, ...]:
+    """The coordinates of a class given as a DivisorClass or a sequence of
+    ints; any other entry raises ParseError instead of being truncated."""
     if isinstance(vec, DivisorClass):
         return vec.coords
-    return tuple(int(v) for v in vec)
+    return DivisorClass(tuple(vec)).coords
 
 
 @dataclass(frozen=True)

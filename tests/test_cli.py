@@ -240,6 +240,60 @@ class TestConstructorPipelines:
         assert code == 1
 
 
+# The rendered monomial forms of the gk certificates and emitted documents,
+# pinned to the output of the Fraction term-by-term converters
+GOLDEN_GK = {
+    "builtin-pair.json": ("n1*n2 + n2 + n1 + 1", "1/4*n^4 + 3/2*n^3 + 9/4*n^2"),
+    "diagonal-triple.json": ("n3 + 2*n2 + n1 + 1", "2*n^4 + 3*n^3"),
+    "p1-O1.json": ("n1 + 1", "1/2*n^2 + 3/2*n"),
+    "parabolic-p1.json": ("n1 + 1", "1/2*n^2 + 3/2*n"),
+    "swap-ring.json": ("n1^2 + 2*n1 + 1", "1/3*n^3 + 3/2*n^2 + 13/6*n"),
+    "trivial-triple.json": ("n3^2 + n2*n3 + n1*n3 + n1*n2 + 2*n3 + n2 + n1 + 1",
+                            "13/12*n^5 + 4*n^4 + 47/12*n^3"),
+    "unipotent-warning.json": ("1/2*n1^3 + n1^2 + 3/2*n1 + 1",
+                               "1/8*n^4 + 7/12*n^3 + 11/8*n^2 + 23/12*n"),
+}
+GOLDEN_SWAP_SQUARE = (
+    "n1^2*n2^2 + 2*n1*n2^2 + 2*n1^2*n2 + n2^2 + 4*n1*n2 + n1^2 + 2*n2 + 2*n1 + 1",
+    "1/9*n^6 + n^5 + 133/36*n^4 + 13/2*n^3 + 169/36*n^2")
+
+
+class TestGoldenRenderings:
+    @staticmethod
+    def renderings(path):
+        code, report = run(["gk", path, "--json"])
+        assert code == 0
+        payload = report["payload"]
+        return payload["hilbert_monomials"], payload["box_poly_monomials"]
+
+    def test_gk_on_data(self):
+        for name, want in GOLDEN_GK.items():
+            assert self.renderings(data(name)) == want, name
+
+    def test_gk_on_tensor_square(self, tmp_path):
+        out = str(tmp_path / "square.json")
+        assert run(["tensor", data("swap-ring.json"), data("swap-ring.json"),
+                    "--emit", out])[0] == 0
+        assert self.renderings(out) == GOLDEN_SWAP_SQUARE
+
+    def test_emitted_euler(self, tmp_path):
+        out = str(tmp_path / "prod.json")
+        assert run(["tensor", data("swap-ring.json"), data("p1-O1.json"),
+                    "--emit", out])[0] == 0
+        with open(out, encoding="utf-8") as fh:
+            euler = json.load(fh)["euler"]
+        assert [(t["coeff"], t["exponents"]) for t in euler] == [
+            ("1", [1, 1, 1]), ("1", [0, 1, 1]), ("1", [1, 0, 1]), ("1", [1, 1, 0]),
+            ("1", [0, 0, 1]), ("1", [0, 1, 0]), ("1", [1, 0, 0]), ("1", [0, 0, 0])]
+        # (n+1)(n+2)/2 on P2 renders with rational coefficients
+        assert run(["dual", data("p1-O1.json"), "--scheme", "builtin:P2",
+                    "--emit", out])[0] == 0
+        with open(out, encoding="utf-8") as fh:
+            euler = json.load(fh)["euler"]
+        assert [(t["coeff"], t["exponents"]) for t in euler] == [
+            ("1/2", [2]), ("3/2", [1]), ("1", [0])]
+
+
 class TestSchemeFlag:
     def test_builtin_scheme_splice(self, tmp_path):
         path = write_doc(tmp_path, "bimods.json", {

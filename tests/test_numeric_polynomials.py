@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import warnings
@@ -174,11 +175,69 @@ def _mono_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def fraction_from_monomials(nvars: int, monomials) -> MultiPoly:
+    """Reference monomial-to-binomial conversion: every monomial expanded in
+    Fraction, with x^e = sum_k Delta^k(x^e)(0) C(x,k)."""
+    acc: dict = {}
+    for expts, coeff in monomials.items():
+        q = Fraction(coeff)
+        if not q:
+            continue
+        rows = [[sum((-1) ** (k - j) * math.comb(k, j) * j ** e for j in range(k + 1))
+                 for k in range(e + 1)] for e in expts]
+        for key in itertools.product(*(range(len(r)) for r in rows)):
+            weight = math.prod(r[k] for r, k in zip(rows, key))
+            if weight:
+                acc[key] = acc.get(key, Fraction(0)) + q * weight
+    acc = {k: c for k, c in acc.items() if c}
+    for key in sorted(acc):
+        if acc[key].denominator != 1:
+            raise NotIntegerValued(key, acc[key])
+    return MultiPoly(nvars, {k: int(c) for k, c in acc.items()})
+
+
+def _binom_to_mono_row(k: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients of C(x,k) = x(x-1)...(x-k+1)/k!."""
+    coeffs = [Fraction(1)]
+    for j in range(k):
+        coeffs = [Fraction(0)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= j * coeffs[i + 1]
+    return tuple(c / math.factorial(k) for c in coeffs)
+
+
+def fraction_to_monomials(p: MultiPoly) -> dict:
+    """Reference binomial-to-monomial conversion, term by term in Fraction."""
+    acc: dict = {}
+    for key, coeff in p.terms.items():
+        rows = [_binom_to_mono_row(k) for k in key]
+        for expts in itertools.product(*(range(len(r)) for r in rows)):
+            weight = math.prod(r[e] for r, e in zip(rows, expts))
+            if weight:
+                acc[expts] = acc.get(expts, Fraction(0)) + coeff * weight
+    return {e: c for e, c in acc.items() if c}
+
+
+def binom_evaluate(p: MultiPoly, point) -> int:
+    """Reference evaluation: one binom_int per variable of every term."""
+    return sum(c * math.prod(binom_int(n, k) for n, k in zip(point, key))
+               for key, c in p.terms.items())
+
+
+def converted(nvars: int, monomials, convert):
+    """convert(nvars, monomials), or the key and value NotIntegerValued names."""
+    try:
+        return convert(nvars, monomials)
+    except NotIntegerValued as exc:
+        return exc.exponents, exc.coeff
+
+
 def fraction_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """The product through the rational monomial basis."""
     if a.is_zero() or b.is_zero():
         return MultiPoly.zero(a.nvars)
-    return MultiPoly.from_monomials(a.nvars, _mono_mul(a.to_monomials(), b.to_monomials()))
+    return fraction_from_monomials(
+        a.nvars, _mono_mul(fraction_to_monomials(a), fraction_to_monomials(b)))
 
 
 def fraction_box_sum(p: MultiPoly) -> MultiPoly:
@@ -196,16 +255,16 @@ def fraction_box_sum(p: MultiPoly) -> MultiPoly:
 def fraction_compose(outer: MultiPoly, inner) -> MultiPoly:
     """Reference composition in the rational monomial basis."""
     nvars = inner[0].nvars
-    arg_monos = [a.to_monomials() for a in inner]
+    arg_monos = [fraction_to_monomials(a) for a in inner]
     acc: dict = {}
-    for expts, coeff in outer.to_monomials().items():
+    for expts, coeff in fraction_to_monomials(outer).items():
         term = {(0,) * nvars: coeff}
         for mono, e in zip(arg_monos, expts):
             for _ in range(e):
                 term = _mono_mul(term, mono)
         for k, c in term.items():
             acc[k] = acc.get(k, Fraction(0)) + c
-    return MultiPoly.from_monomials(nvars, acc)
+    return fraction_from_monomials(nvars, acc)
 
 
 def monomial_restrict_to_ray(mono: dict, base, direction) -> list[Fraction]:
@@ -255,9 +314,82 @@ def gk_inputs():
             yield system.scheme.euler, symbolic_class(strided)
 
 
+def rational_monomials(max_vars=4, max_degree=3):
+    """(nvars, {exponents: Fraction}) of total degree at most max_degree."""
+    def with_nvars(nvars):
+        expt = st.tuples(*[st.integers(min_value=0, max_value=max_degree)] * nvars)
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        return st.tuples(st.just(nvars), st.dictionaries(
+            expt.filter(lambda e: sum(e) <= max_degree), coeff, max_size=5))
+    return st.integers(min_value=1, max_value=max_vars).flatmap(with_nvars)
+
+
 class TestAgainstFractionAlgebra:
-    """compose, box_sum and the ray restriction against the rational monomial
-    algebra they replaced."""
+    """The monomial converters, evaluate, compose, box_sum and the ray
+    restriction against the rational term-by-term algebra they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_monomials())
+    def test_from_monomials(self, case):
+        nvars, monomials = case
+        assert (converted(nvars, monomials, MultiPoly.from_monomials)
+                == converted(nvars, monomials, fraction_from_monomials))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(small_polys))
+    def test_to_monomials_and_evaluate(self, p):
+        mono = p.to_monomials()
+        assert mono == fraction_to_monomials(p)
+        assert MultiPoly.from_monomials(p.nvars, mono) == p
+        for point in itertools.product((-2, 0, 3), repeat=p.nvars):
+            assert p.evaluate(point) == binom_evaluate(p, point)
+
+    def test_not_integer_valued(self):
+        # the first failing key in sorted order, with its rational value
+        cases = [
+            (1, {(2,): Fraction(1, 2)}),
+            (1, {(3,): Fraction(1, 6), (1,): Fraction(1, 6)}),
+            (2, {(1, 1): Fraction(1, 2)}),
+            (2, {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}),
+            (2, {(1, 0): Fraction(1, 3), (0, 2): Fraction(1, 2), (3, 0): 1}),
+            (3, {(1, 1, 1): Fraction(5, 6), (0, 0, 2): Fraction(-7, 4)}),
+        ]
+        for nvars, monomials in cases:
+            got = converted(nvars, monomials, MultiPoly.from_monomials)
+            assert isinstance(got, tuple), monomials
+            assert got == converted(nvars, monomials, fraction_from_monomials)
+        assert converted(2, cases[3][1], MultiPoly.from_monomials) == ((0, 1), Fraction(1, 2))
+
+    def test_cancellation(self):
+        # x^2 - x = 2 C(x,2) loses its C(x,1) term; zero coefficients give
+        # the zero polynomial
+        for nvars, monomials in [
+                (1, {(2,): 1, (1,): -1}),
+                (2, {(2, 1): 1, (1, 1): -1, (2, 0): Fraction(-1, 2), (1, 0): Fraction(1, 2)}),
+                (2, {(1, 0): 0, (0, 1): Fraction(0)}),
+                (3, {})]:
+            got = MultiPoly.from_monomials(nvars, monomials)
+            assert got == fraction_from_monomials(nvars, monomials)
+            assert got.to_monomials() == fraction_to_monomials(got)
+        assert MultiPoly.from_monomials(1, {(2,): 1, (1,): -1}).terms == {(2,): 2}
+        assert MultiPoly.from_monomials(2, {(1, 0): 0}).is_zero()
+        # 2 C(x,2) + C(x,1) = x^2 loses its x term
+        assert MultiPoly(1, {(2,): 2, (1,): 1}).to_monomials() == {(2,): 1}
+        diff = MultiPoly(2, {(1, 0): 1, (0, 1): -1}) * MultiPoly(2, {(2, 1): 3, (0, 0): -1})
+        for n in range(-3, 4):
+            assert diff.evaluate((n, n)) == binom_evaluate(diff, (n, n)) == 0
+
+    def test_tensor_fourth_power_euler(self):
+        base = power = _data_system("swap-ring.json")
+        for _ in range(3):
+            power = product(power, base)
+        euler = power.scheme.euler
+        assert len(euler.terms) == 256
+        mono = euler.to_monomials()
+        assert mono == fraction_to_monomials(euler)
+        assert MultiPoly.from_monomials(8, mono) == fraction_from_monomials(8, mono) == euler
+        for point in [(0,) * 8, tuple(range(-3, 5)), (2, -1, 0, 5, 1, -2, 3, 7)]:
+            assert euler.evaluate(point) == binom_evaluate(euler, point)
 
     def test_gk_inputs(self):
         seen = 0
@@ -296,8 +428,8 @@ class TestAgainstFractionAlgebra:
                 p = diff * random_poly(rng, s, degree=2)
                 base[1], v[1] = base[0], v[0]
             got = _restrict_to_ray(p, base, v)
-            assert got == monomial_restrict_to_ray(p.to_monomials(), base, v), \
-                (p.to_monomials(), base, v)
+            assert got == monomial_restrict_to_ray(fraction_to_monomials(p), base, v), \
+                (p.terms, base, v)
             zero += got == [0]
             away += any(base)
         assert zero > 20 and away > 200

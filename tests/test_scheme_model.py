@@ -251,6 +251,7 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: DivisorClass((1.5,)),
              lambda: DivisorClass((True,)),
              lambda: builtin_scheme("P1").is_ample((1, 0)),
+             lambda: builtin_scheme("P1").is_ample([1.5]),
              lambda: p1_power_scheme(-1),
              lambda: load_system(dict(builtin_scheme("P1").to_document(),
                                       bimodules=[{"divisor": [1],
@@ -258,6 +259,10 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: Matrix(()),
              lambda: Matrix(((1, 0),)),
              lambda: Matrix(((1.5,),)),
+             lambda: Matrix.from_rows([[1.5]]),
+             lambda: Matrix.identity(2) * Matrix.identity(3),
+             lambda: make_system(builtin_scheme("P1"), [((1,), [[1.9]])]),
+             lambda: make_system(builtin_scheme("P1"), [((1.5,), [[1]])]),
              lambda: Matrix.identity(2) ** -1,
              lambda: Matrix.identity(2).apply((1,)),
              lambda: geometric_sum(Matrix.identity(2), -1),
@@ -271,6 +276,8 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: MultiPoly(1, {(1,): 0}),
              lambda: MultiPoly(1, {(1,): 1.5}),
              lambda: MultiPoly.from_monomials(2, {(1,): 1}),
+             lambda: MultiPoly.from_monomials(1, {(-2,): 3, (0,): 1}),
+             lambda: MultiPoly.from_monomials(1, {(1.5,): 1}),
              lambda: constant.evaluate((1, 2)),
              lambda: constant.shift((1, 2)),
              lambda: constant + pair,
@@ -287,4 +294,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 36
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 43

@@ -1,5 +1,5 @@
-"""The scripts under scripts/ run against this checkout's src/ and report
-what their docstrings promise."""
+"""The scripts under scripts/, and ``python -m ncample``, run against this
+checkout's src/ and report what their docstrings promise."""
 
 import os
 import subprocess
@@ -8,16 +8,26 @@ import sys
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def run_script(name: str, *args: str) -> list[str]:
-    """Run scripts/<name> with this checkout's src/ first on the path and
-    return its output lines; the script must exit 0."""
+def run_python(*args: str) -> list[str]:
+    """Run the interpreter with this checkout's src/ first on the path and
+    return its output lines; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    return run_python(os.path.join(ROOT, "scripts", name), *args)
+
+
+def test_module_entry_point():
+    # python -m ncample runs the CLI from a checkout without installing it
+    lines = run_python("-m", "ncample", "verdict", os.path.join(ROOT, "data", "p1-O1.json"))
+    assert "kind: NCAmple" in lines
 
 
 def test_golden_tour():
