@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .bimodule_system import BimoduleSystem, branch_class_polys, class_at
 from .errors import (ArityError, GeometricRealizabilityWarning,
@@ -186,13 +187,23 @@ def eventual_ampleness(sys: BimoduleSystem,
     records: list[BranchRecord] = []
     branch_shifts: dict[tuple[int, ...], int] = {}
     saw_unknown = False
+    # a cone-preserving action permutes the functionals, so most
+    # polynomials recur; each distinct one is searched once
+    searched = {}
     for residue, polys in branch_class_polys(sys, periods).items():
+        columns: dict[tuple[int, ...], list[int]] = {}
+        for i, poly in enumerate(polys):
+            for key, coeff in poly.terms.items():
+                columns.setdefault(key, [0] * len(polys))[i] = coeff
         shift = 0
         for k, row in enumerate(cone):
-            h = MultiPoly.zero(s)
-            for coeff, poly in zip(row, polys):
-                h = h + poly.scale(coeff)
-            outcome = eventually_positive(h, search_bound)
+            terms = {key: value for key, col in columns.items()
+                     if (value := sum(map(mul, row, col)))}
+            seen = frozenset(terms.items())
+            outcome = searched.get(seen)
+            if outcome is None:
+                outcome = searched[seen] = eventually_positive(MultiPoly(s, terms),
+                                                               search_bound)
             if outcome.is_no:
                 witness = RayWitness(
                     residue=residue,

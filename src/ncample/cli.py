@@ -154,14 +154,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_validate(args, report) -> int:
     doc, meta = _load_input(args.input, args.scheme)
     report["input"] = meta
-    scheme = load_scheme(doc)
+    # load_system reads the scheme before the bimodules, so the first
+    # error is the same as from load_scheme alone
+    system = bs.load_system(doc) if "bimodules" in doc else None
+    scheme = load_scheme(doc) if system is None else system.scheme
     payload = {
         "scheme": {"name": scheme.name, "dim": scheme.dim, "rho": scheme.rho,
                    "cone_rows": len(scheme.cone),
                    "interior_point": list(scheme.interior_point)},
     }
-    if "bimodules" in doc:
-        system = bs.load_system(doc)
+    if system is not None:
         payload["system"] = {
             "s": system.s,
             "determinants": [b.action.det() for b in system.bimodules],

@@ -42,34 +42,52 @@ class Matrix:
         return Matrix(tuple(map(tuple, rows)))
 
     @staticmethod
+    def _trusted(entries: tuple[tuple[int, ...], ...]) -> "Matrix":
+        """A matrix from entries already known to be a nonempty square int
+        array, such as a sum or product of two valid matrices of one rank;
+        it skips the __post_init__ check."""
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    def _same_rank(self, other: "Matrix", verb: str) -> None:
+        if other.rho != self.rho:
+            raise ParseError(f"cannot {verb} matrices of rank {self.rho} and {other.rho}")
+
+    @staticmethod
+    @lru_cache(maxsize=None)
     def identity(rho: int) -> "Matrix":
-        return Matrix(tuple(tuple(1 if i == j else 0 for j in range(rho)) for i in range(rho)))
+        if rho < 1:
+            raise ParseError("a matrix needs at least one row")
+        return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(rho))
+                                     for i in range(rho)))
 
     @staticmethod
     def zero(rho: int) -> "Matrix":
-        return Matrix(tuple((0,) * rho for _ in range(rho)))
+        if rho < 1:
+            raise ParseError("a matrix needs at least one row")
+        return Matrix._trusted(tuple((0,) * rho for _ in range(rho)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        self._same_rank(other, "add")
+        return Matrix._trusted(tuple(tuple(a + b for a, b in zip(r1, r2))
+                                     for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        self._same_rank(other, "subtract")
+        return Matrix._trusted(tuple(tuple(a - b for a, b in zip(r1, r2))
+                                     for r1, r2 in zip(self.entries, other.entries)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        if other.rho != self.rho:
-            raise ParseError(f"cannot multiply matrices of rank {self.rho} and {other.rho}")
+        self._same_rank(other, "multiply")
         cols = tuple(zip(*other.entries))
-        # a product of two valid matrices of one rank is a square int array,
-        # so it skips the __post_init__ check
-        product = object.__new__(Matrix)
-        object.__setattr__(product, "entries", tuple(
-            tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries))
-        return product
+        return Matrix._trusted(tuple(tuple([sum(map(mul, row, col)) for col in cols])
+                                     for row in self.entries))
 
     def scale(self, c: int) -> "Matrix":
-        return Matrix(tuple(tuple(c * e for e in row) for row in self.entries))
+        if not isinstance(c, int):
+            raise ParseError(f"matrix scale factor must be an integer, got {c!r}")
+        return Matrix._trusted(tuple(tuple(c * e for e in row) for row in self.entries))
 
     def __pow__(self, n: int) -> "Matrix":
         """Left-to-right binary powering: floor(log2 n) + popcount(n) - 1
@@ -92,7 +110,7 @@ class Matrix:
         if len(v) != self.rho:
             raise ParseError(f"vector of length {len(v)} for a matrix of "
                              f"rank {self.rho}")
-        return tuple(sum(row[j] * v[j] for j in range(self.rho)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.rho))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -407,55 +408,70 @@ def _sign_stable_threshold(coeffs: list[Fraction]) -> int:
     return t
 
 
-def _certifies(q: MultiPoly) -> bool:
-    """All binomial coefficients >= 0 and the constant term > 0."""
-    return q.constant_term > 0 and all(c >= 0 for c in q.terms.values())
+@functools.cache
+def _binom_product_row(ms: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of prod_i C(t, m_i) in the basis C(t, 0..sum(ms)); the
+    m's are sorted, so each multiset is built once."""
+    degree = sum(ms)
+    row = _interpolate((degree,), degree, lambda coords: [
+        math.prod(math.comb(t, m) for m in ms) for t in coords[0]]).terms
+    return tuple(row.get((m,), 0) for m in range(degree + 1))
 
 
-def _some_shift_certifies(p: MultiPoly, shifted) -> bool:
-    """Whether any diagonal shift t certifies p, decided exactly.
+def _shift_trends(p: MultiPoly) -> dict[Exponents, list[int]]:
+    """Each binomial coefficient of p.shift((t,)*s) as a polynomial in t.
 
-    Each binomial coefficient of p.shift((t,)*s) is a polynomial in t of
-    degree at most D = p.total_degree(), so its values at t = 0..D (from
-    ``shifted(t)``) give its coefficients in the basis C(t, m) through
-    _interpolate; its sign for large t is that of the last nonzero one.
-    Since the certifying shifts are upward closed, one exists iff the
-    constant term's polynomial is eventually positive and no other
-    coefficient's is eventually negative.
+    By Vandermonde, C(n_i + t, k_i) = sum_j C(t, k_i - j) C(n_i, j), so the
+    term c_k adds c_k * prod_i C(t, k_i - j_i) to the coefficient at j.  Each
+    trend is an integer vector in the basis C(t, 0..D), D = p.total_degree(),
+    with trailing zeros dropped; keys whose trend vanishes are left out.
     """
     degree = p.total_degree()
-    constant = (0,) * p.nvars
-    keys = {constant}.union(*(shifted(t).terms for t in range(degree + 1)))
-    for key in keys:
-        trend = _interpolate((degree,), degree, lambda coords: [
-            shifted(t).terms.get(key, 0) for t in coords[0]]).terms
-        lead = trend[max(trend)] if trend else 0
-        if lead < 0 or (key == constant and lead == 0):
-            return False
-    return True
+    trends: dict[Exponents, list[int]] = {}
+    for key, c in p.terms.items():
+        for j in itertools.product(*(range(k + 1) for k in key)):
+            row = _binom_product_row(tuple(sorted(k - i for k, i in zip(key, j) if k > i)))
+            vec = trends.setdefault(j, [0] * (degree + 1))
+            for m, w in enumerate(row):
+                vec[m] += c * w
+    for vec in trends.values():
+        while vec and not vec[-1]:
+            vec.pop()
+    return {j: vec for j, vec in trends.items() if vec}
 
 
-def _least_certifying_shift(p: MultiPoly, search_bound: int) -> int | None:
+def _shift_certifies(trends: list[list[int]], t: int) -> bool:
+    """Whether the diagonal shift t certifies, read from trends: the first,
+    the constant term's, must be positive at t and the others nonnegative."""
+    basis = [math.comb(t, m) for m in range(max(map(len, trends)))]
+    values = (sum(map(operator.mul, vec, basis)) for vec in trends)
+    return next(values) > 0 and all(v >= 0 for v in values)
+
+
+def _least_certifying_shift(p: MultiPoly) -> int | None:
     """The least t whose diagonal shift certifies p, or None if none does.
 
-    Shifting a certified polynomial by (1,...,1) keeps it certified, since
+    A shift certifies when all binomial coefficients of p.shift((t,)*s) are
+    nonnegative and the constant one is positive.  Shifting a certified
+    polynomial by (1,...,1) keeps it certified, since
     C(n+1,k) = C(n,k) + C(n,k-1) and its new constant term, its value at
-    (1,...,1), is at least the old one.  So t gallops through 0, 1, 3, 7,
-    ... and then bisects the last gap.  When the gallop first passes
-    search_bound it asks _some_shift_certifies whether to go on.
+    (1,...,1), is at least the old one.  So a shift exists iff the
+    constant term's trend has a positive leading coefficient and no other
+    trend a negative one, and then t gallops through 0, 1, 3, 7, ... and
+    bisects the last gap.  Trends whose coefficients are all nonnegative
+    are nonnegative at every t >= 0, so the probes skip them.
     """
-    @functools.cache
-    def shifted(t: int) -> MultiPoly:
-        return p.shift((t,) * p.nvars)
-
+    trends = _shift_trends(p)
+    constant = trends.pop((0,) * p.nvars, [])
+    if not constant or constant[-1] < 0 or any(vec[-1] < 0 for vec in trends.values()):
+        return None
+    checked = [constant] + [vec for vec in trends.values() if min(vec) < 0]
     lo, hi = -1, 0  # lo fails (or is -1), hi is the next probe
-    while not _certifies(shifted(hi)):
+    while not _shift_certifies(checked, hi):
         lo, hi = hi, 2 * hi + 1
-        if lo <= search_bound < hi and not _some_shift_certifies(p, shifted):
-            return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _certifies(shifted(mid)):
+        if _shift_certifies(checked, mid):
             hi = mid
         else:
             lo = mid
@@ -467,7 +483,7 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
 
     Yes certificates come from the least diagonal shift t whose binomial
     coefficients are all nonnegative with positive constant term; that
-    search has no upper limit and needs O(log t) shifts.  When no shift
+    search has no upper limit and needs O(log t) probes.  When no shift
     certifies p, No certificates come from rays with entries in
     [1, search_bound] whose restriction has a negative leading coefficient.
     """
@@ -476,7 +492,7 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
     s = p.nvars
     if p.is_zero():
         return PositivityResult("unknown", bound=search_bound)
-    t = _least_certifying_shift(p, search_bound)
+    t = _least_certifying_shift(p)
     if t is not None:
         return PositivityResult("yes", m0=(t,) * s)
     # C(n,k) = n^k/k! + lower terms, so D! times the top form is integral

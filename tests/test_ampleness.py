@@ -15,6 +15,7 @@ from corpus import (
     golden_swap,
     golden_warning,
 )
+from ncample import ampleness
 from ncample.ampleness import (
     nc_ample_verdict,
     nilpotency_ceiling,
@@ -22,6 +23,7 @@ from ncample.ampleness import (
     sigma_ample_verdict,
 )
 from ncample.bimodule_system import (
+    branch_class_polys,
     class_at,
     combined_single,
     dual,
@@ -31,6 +33,7 @@ from ncample.bimodule_system import (
 )
 from ncample.errors import ArityError, GeometricRealizabilityWarning, NotQuasiUnipotent
 from ncample.lattice_algebra import Matrix
+from ncample.numeric_polynomials import MultiPoly, eventually_positive
 from ncample.scheme_model import builtin_scheme
 
 
@@ -38,6 +41,23 @@ def quiet_verdict(sys, bound=8):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return nc_ample_verdict(sys, search_bound=bound)
+
+
+def reference_records(sys, bound):
+    """(residue, functional, kind, shift) of every pair the verdict scans,
+    each functional summed as MultiPolys and searched on its own."""
+    periods = quasi_unipotent_screen(sys).orders
+    records = []
+    for residue, polys in branch_class_polys(sys, periods).items():
+        for k, row in enumerate(sys.scheme.cone):
+            h = MultiPoly.zero(sys.s)
+            for coeff, poly in zip(row, polys):
+                h = h + poly.scale(coeff)
+            outcome = eventually_positive(h, bound)
+            records.append((residue, k, outcome.kind, max(outcome.m0) if outcome.is_yes else None))
+            if outcome.is_no:
+                return records
+    return records
 
 
 class TestScreen:
@@ -157,6 +177,25 @@ class TestVerdict:
         v = quiet_verdict(sys)
         below = tuple(m - 1 for m in v.m0)
         assert not sys.scheme.is_ample(class_at(sys, below))
+
+    def test_each_distinct_functional_searched_once(self, monkeypatch):
+        searched = []
+        monkeypatch.setattr(ampleness, "eventually_positive",
+                            lambda p, bound: searched.append(p) or eventually_positive(p, bound))
+        pairs = repeats = 0
+        for sys in duality_corpus() + (golden_swap(), golden_line_and_inverse()):
+            searched.clear()
+            v = quiet_verdict(sys)
+            if v.kind == "QuasiUnipotentFail":
+                continue
+            keys = [frozenset(p.terms.items()) for p in searched]
+            assert len(set(keys)) == len(keys)
+            want = reference_records(sys, 8)
+            assert [(r.residue, r.functional_index, r.kind, r.shift)
+                    for r in v.records] == want
+            pairs += len(want)
+            repeats += len(want) - len(searched)
+        assert repeats > pairs // 4
 
     def test_verdict_json_shape(self):
         doc = quiet_verdict(golden_pair()).to_json()

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from ncample import bimodule_system, cli, scheme_model
 from ncample.cli import main, run
 from ncample.scheme_model import builtin_scheme
 
@@ -36,6 +37,16 @@ class TestValidate:
         assert payload["system"]["s"] == 2
         assert payload["oracle"] == {"d": 2, "s": 2}
         assert len(report["input"]["sha256"]) == 64
+
+    def test_scheme_loaded_once(self, monkeypatch):
+        calls = []
+        load = scheme_model.load_scheme
+        counted = lambda doc: calls.append(1) or load(doc)
+        for module in (cli, bimodule_system):
+            monkeypatch.setattr(module, "load_scheme", counted)
+        code, report = run(["validate", data("swap-ring.json")])
+        assert code == 0 and report["payload"]["system"]["s"] == 1
+        assert len(calls) == 1
 
     def test_missing_file(self):
         code, report = run(["validate", "no-such-file.json"])

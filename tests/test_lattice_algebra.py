@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncample.errors import NonInvertible, NotNilpotent
+from ncample.errors import NonInvertible, NotNilpotent, ParseError
 from ncample.lattice_algebra import (
     Matrix,
     UniPoly,
@@ -76,6 +76,28 @@ class TestMatrix:
             Matrix.from_rows([[2, 0], [0, 1]]).inverse_unimodular()
         with pytest.raises(NonInvertible):
             Matrix.from_rows([[1, 0], [0, 0]]).inverse_unimodular()
+
+    def test_derived_matrices_skip_the_check(self, monkeypatch):
+        checks = []
+        check = Matrix.__post_init__
+        monkeypatch.setattr(Matrix, "__post_init__",
+                            lambda m: checks.append(m) or check(m))
+        i3 = Matrix.identity(3)
+        m = Matrix.from_rows([[1, 2, 0], [0, 1, -1], [3, 0, 1]])
+        assert len(checks) == 1
+        assert ((m + i3) * m - Matrix.zero(3)).scale(2) == \
+            Matrix.from_rows([[4, 12, -4], [-6, 4, -6], [18, 12, 4]])
+        assert len(checks) == 2
+        for bad in ([[1, 2], [3]], [[1.5]], [[True]], []):
+            with pytest.raises(ParseError):
+                Matrix.from_rows(bad)
+        with pytest.raises(ParseError):
+            Matrix(((1, 0), (0, "1")))
+        for call in (lambda: Matrix.identity(0), lambda: Matrix.zero(0),
+                     lambda: i3 + SWAP, lambda: i3 - SWAP, lambda: i3 * SWAP,
+                     lambda: i3.scale(0.5)):
+            with pytest.raises(ParseError):
+                call()
 
     @given(square_matrices(2), square_matrices(2))
     def test_product_det_multiplicative(self, a, b):

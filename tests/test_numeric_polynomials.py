@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ncample.ampleness import nc_ample_verdict
 from ncample.bimodule_system import load_system, product, symbolic_class, veronese
+from ncample import numeric_polynomials
 from ncample.errors import NotIntegerValued
 from ncample.numeric_polynomials import (
     MultiPoly,
@@ -529,13 +530,28 @@ def random_poly(rng, s, degree=3, max_coeff=12):
 
 
 @pytest.fixture
-def shift_calls(monkeypatch):
-    """The shift vector of every MultiPoly.shift call, in order."""
-    calls = []
-    shift = MultiPoly.shift
-    monkeypatch.setattr(MultiPoly, "shift",
-                        lambda self, t: calls.append(tuple(t)) or shift(self, t))
-    return calls
+def shift_probes(monkeypatch):
+    """The shift t of every probe of the certifying-shift search, in order."""
+    probes = []
+    probe = numeric_polynomials._shift_certifies
+    monkeypatch.setattr(numeric_polynomials, "_shift_certifies",
+                        lambda trends, t: probes.append(t) or probe(trends, t))
+    return probes
+
+
+def interpolated_shift_exists(p):
+    """Whether any diagonal shift certifies p, by interpolating each
+    coefficient of p.shift((t,)*s) from t = 0..deg p (the reference)."""
+    degree = p.total_degree()
+    constant = (0,) * p.nvars
+    shifts = [p.shift((t,) * p.nvars).terms for t in range(degree + 1)]
+    for key in {constant}.union(*shifts):
+        trend = numeric_polynomials._interpolate((degree,), degree, lambda coords: [
+            shifts[t].get(key, 0) for t in coords[0]]).terms
+        lead = trend[max(trend)] if trend else 0
+        if lead < 0 or (key == constant and lead == 0):
+            return False
+    return True
 
 
 class TestShiftSearch:
@@ -555,21 +571,38 @@ class TestShiftSearch:
                 assert least_shift_by_scan(p, 64) is None, p.to_monomials()
         assert certified > 300
 
-    def test_shift_past_bound_in_few_shifts(self, shift_calls):
+    def test_shift_past_bound_in_few_shifts(self, shift_probes):
         five = {tuple(int(i == j) for j in range(5)): 1 for i in range(5)}
         five[(0,) * 5] = -100
         res = eventually_positive(MultiPoly.from_monomials(5, five), 16)
         assert res.is_yes and res.m0 == (21,) * 5
-        assert len(shift_calls) <= 12
-        shift_calls.clear()
+        assert len(shift_probes) <= 12
+        shift_probes.clear()
         far = MultiPoly.from_monomials(2, {(1, 0): 1, (0, 1): 1, (0, 0): -10**12})
         res = eventually_positive(far, 16)
         assert res.is_yes and res.m0 == (5 * 10**11 + 1,) * 2
-        assert len(shift_calls) <= 2 * 40 + 2
+        assert len(shift_probes) <= 2 * 40 + 2
 
-    def test_gallop_then_bisect_probe_order(self, shift_calls):
-        # within the bound only the gallop and the bisection shift p
+    def test_gallop_then_bisect_probe_order(self, shift_probes):
+        # only the gallop and the bisection probe p's shifts
         p = MultiPoly.from_monomials(2, {(1, 0): 1, (0, 1): 1, (0, 0): -9})
         res = eventually_positive(p, 16)
         assert res.m0 == (5, 5)
-        assert [t[0] for t in shift_calls] == [0, 1, 3, 7, 5, 4]
+        assert shift_probes == [0, 1, 3, 7, 5, 4]
+
+    def test_trends_match_shifts(self):
+        rng = random.Random(11)
+        exists = 0
+        for _ in range(300):
+            p = random_poly(rng, rng.randint(1, 3))
+            trends = numeric_polynomials._shift_trends(p)
+            for t in range(p.total_degree() + 4):
+                basis = [math.comb(t, m) for m in range(p.total_degree() + 1)]
+                values = {key: sum(c * b for c, b in zip(vec, basis))
+                          for key, vec in trends.items()}
+                assert {k: v for k, v in values.items() if v} == \
+                    p.shift((t,) * p.nvars).terms, (p.terms, t)
+            found = numeric_polynomials._least_certifying_shift(p) is not None
+            assert found == interpolated_shift_exists(p), p.terms
+            exists += found
+        assert 50 < exists < 250
