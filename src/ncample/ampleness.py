@@ -157,17 +157,6 @@ class EventualAmplenessResult:
     bound: int | None = None
     records: tuple[BranchRecord, ...] = ()
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.m0 is not None:
-            out["m0"] = list(self.m0)
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        if self.bound is not None:
-            out["bound"] = self.bound
-        out["records"] = [r.to_json() for r in self.records]
-        return out
-
 
 def eventual_ampleness(sys: BimoduleSystem,
                        search_bound: int = DEFAULT_SEARCH_BOUND,

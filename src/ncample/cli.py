@@ -19,7 +19,7 @@ from . import bimodule_system as bs
 from .ampleness import DEFAULT_SEARCH_BOUND, nc_ample_verdict, sigma_ample_verdict
 from .errors import NcampleError, NotNCAmple, ParseError
 from .gk_dimension import gk
-from .scheme_model import builtin_scheme, load_scheme
+from .scheme_model import _as_dict, builtin_scheme, load_scheme
 from .section_oracle import cross_validate, load_oracle
 
 _BUILTIN_PREFIX = "builtin:"
@@ -31,14 +31,11 @@ def _read_document(path: str) -> tuple[dict, dict]:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top-level JSON value must be an object")
-    return doc, {"path": path, "sha256": digest}
+        doc = _as_dict(raw)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return doc, {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 def _resolve_scheme_source(source: str) -> tuple[dict, dict]:
@@ -71,15 +68,6 @@ def _parse_vector(text: str, expect_len: int | None = None) -> tuple[int, ...]:
     if expect_len is not None and len(vec) != expect_len:
         raise ParseError(f"expected {expect_len} components, got {len(vec)}")
     return vec
-
-
-def _emit_document(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 @functools.cache
@@ -239,12 +227,7 @@ def _cmd_constructor(args, report) -> int:
         built = bs.veronese(system, strides)
     else:
         built = bs.rees(system)
-    out = bs.system_to_document(built)
-    report["payload"] = {"document": out}
-    if args.emit is not None:
-        _emit_document(out, args.emit)
-        report["payload"]["emitted"] = args.emit
-    return 0
+    return _report_built(args, report, built)
 
 
 def _cmd_tensor(args, report) -> int:
@@ -252,10 +235,21 @@ def _cmd_tensor(args, report) -> int:
     doc_b, meta_b = _read_document(args.other)
     report["input"] = [meta_a, meta_b]
     built = bs.product(bs.load_system(doc_a), bs.load_system(doc_b))
+    return _report_built(args, report, built)
+
+
+def _report_built(args, report, built) -> int:
+    """Report a constructed system's document, and write it to --emit
+    ('-' = stdout) when given."""
     out = bs.system_to_document(built)
     report["payload"] = {"document": out}
     if args.emit is not None:
-        _emit_document(out, args.emit)
+        text = json.dumps(out, sort_keys=True, indent=2) + "\n"
+        if args.emit == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(text)
         report["payload"]["emitted"] = args.emit
     return 0
 
@@ -301,6 +295,7 @@ _DISPATCH = {
     "veronese": _cmd_constructor,
     "rees": _cmd_constructor,
     "tensor": _cmd_tensor,
+    "oracle": _cmd_oracle_compare,
 }
 
 
@@ -317,10 +312,7 @@ def run(argv) -> tuple[int, dict]:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if args.command == "oracle":
-                code = _cmd_oracle_compare(args, report)
-            else:
-                code = _DISPATCH[args.command](args, report)
+            code = _DISPATCH[args.command](args, report)
             report["warnings"] = [str(w.message) for w in caught]
     except NcampleError as exc:
         report["payload"] = {"error": str(exc)}

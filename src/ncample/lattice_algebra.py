@@ -192,7 +192,8 @@ class UniPoly:
 
     def divide_exact(self, divisor: "UniPoly") -> "UniPoly | None":
         """Quotient by a monic divisor when the division is exact over Z."""
-        assert divisor.coeffs and divisor.coeffs[-1] == 1, "divisor must be monic"
+        if not divisor.coeffs or divisor.coeffs[-1] != 1:
+            raise ParseError(f"divisor must be monic, got coefficients {divisor.coeffs}")
         if self.degree() < divisor.degree():
             return None
         rem = list(self.coeffs)
@@ -228,7 +229,8 @@ def char_poly(m: Matrix) -> UniPoly:
 
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
-    assert d >= 1
+    if d < 1:
+        raise ParseError(f"Euler's phi needs d >= 1, got {d}")
     result = d
     n = d
     p = 2
@@ -246,6 +248,8 @@ def euler_phi(d: int) -> int:
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> UniPoly:
     """d-th cyclotomic polynomial via exact division of x^d - 1."""
+    if d < 1:
+        raise ParseError(f"a cyclotomic polynomial needs d >= 1, got {d}")
     poly = UniPoly.from_coeffs([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:

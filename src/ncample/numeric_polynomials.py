@@ -314,18 +314,6 @@ class PositivityResult:
     def is_no(self) -> bool:
         return self.kind == "no"
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("m0", "base", "direction"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = list(v)
-        if self.threshold is not None:
-            out["threshold"] = self.threshold
-        if self.bound is not None:
-            out["bound"] = self.bound
-        return out
-
 
 def _interpolate(degrees, total: int, f) -> MultiPoly:
     """The polynomial with values f(k) whose binomial exponents k all lie in

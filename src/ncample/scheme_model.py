@@ -247,12 +247,16 @@ def load_scheme(document) -> NumericalScheme:
 
 
 def _as_dict(document) -> dict:
+    """A document as a dict: a dict as it is, or JSON text, where bytes are
+    read as UTF-8."""
     if isinstance(document, dict):
         return document
     if isinstance(document, (str, bytes)):
         try:
+            if isinstance(document, bytes):
+                document = document.decode("utf-8")
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("top-level JSON value must be an object")

@@ -1,5 +1,6 @@
-"""Shared golden systems and the seeded random corpus used across the suite,
-and a runner for scripts under python -O.
+"""Shared golden systems, the system families behind the seeded random
+corpus and the duality property, and an interpreter launcher that puts this
+checkout's src/ on the path.
 
 Corpus actions are restricted to lattice actions of honest automorphisms of
 the host models (factor permutations, identities, and the hyperbolic matrix
@@ -23,17 +24,23 @@ from ncample.scheme_model import builtin_scheme, p1_power_scheme
 SEED = 20260816
 
 
-def run_optimized(script: str) -> list[str]:
-    """Run script under python -O, which strips asserts, against this
-    checkout's src/, and return the words it printed."""
+def run_python(*args: str) -> str:
+    """Run the interpreter with this checkout's src/ first on the path and
+    return what it printed; it must exit 0."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout
+
+
+def run_optimized(script: str) -> list[str]:
+    """Run script under python -O, which strips asserts, and return the
+    words it printed."""
+    return run_python("-O", "-c", script).split()
 
 
 def perm_matrix(perm) -> Matrix:
@@ -93,85 +100,76 @@ def _rand_divisor(rng, d, lo=-3, hi=3):
     return tuple(rng.randint(lo, hi) for _ in range(d))
 
 
-def _identity_family(rng, count):
+def _perm_action(rng, rho) -> Matrix:
+    """A 3-cycle or a transposition of the lattice coordinates, the
+    identity on rank 1."""
+    if rho == 1:
+        return IDENT[1]
+    perm = _cycle(rho) if (rho == 3 and rng.random() < 0.5) else _transposition(rho)
+    return perm_matrix(perm)
+
+
+def identity_system(rng, scheme) -> BimoduleSystem:
     """Arbitrary divisors, identity actions."""
-    out = []
-    for _ in range(count):
-        d = rng.choice((1, 2, 2, 3))
-        s = rng.randint(1, 3)
-        scheme = p1_power_scheme(d)
-        out.append(make_system(
-            scheme, [(_rand_divisor(rng, d), IDENT[d]) for _ in range(s)]))
-    return out
+    rho = scheme.rho
+    return make_system(scheme, [(_rand_divisor(rng, rho), Matrix.identity(rho))
+                                for _ in range(rng.randint(1, 3))])
 
 
-def _shared_action_family(rng, count):
+def shared_action_system(rng, scheme) -> BimoduleSystem:
     """All bundles share one permutation action; divisors differ by an
     action-invariant vector, which keeps the class commutation exact."""
-    out = []
-    for _ in range(count):
-        d = rng.choice((2, 3))
-        perm = _cycle(d) if (d == 3 and rng.random() < 0.5) else _transposition(d)
-        action = perm_matrix(perm)
-        s = rng.randint(2, 3)
-        base = _rand_divisor(rng, d, -2, 2)
-        pairs = []
-        for _ in range(s):
-            c = rng.randint(0, 1)
-            pairs.append((tuple(b + c for b in base), action))
-        out.append(make_system(p1_power_scheme(d), pairs))
-    return out
+    action = _perm_action(rng, scheme.rho)
+    s = rng.randint(2, 3)
+    base = _rand_divisor(rng, scheme.rho, -2, 2)
+    pairs = []
+    for _ in range(s):
+        c = rng.randint(0, 1)
+        pairs.append((tuple(b + c for b in base), action))
+    return make_system(scheme, pairs)
 
 
-def _invariant_divisor_family(rng, count):
+def invariant_divisor_system(rng, scheme) -> BimoduleSystem:
     """One permutation-invariant divisor shared by all bundles; the actions
     are arbitrary powers of one permutation."""
-    out = []
-    for _ in range(count):
-        d = rng.choice((2, 3))
-        perm = _cycle(d) if (d == 3 and rng.random() < 0.5) else _transposition(d)
-        action = perm_matrix(perm)
-        s = rng.randint(1, 3)
-        c = rng.randint(-3, 3)
-        div = (c,) * d
-        pairs = [(div, action ** rng.randint(0, 2)) for _ in range(s)]
-        out.append(make_system(p1_power_scheme(d), pairs))
-    return out
+    action = _perm_action(rng, scheme.rho)
+    s = rng.randint(1, 3)
+    div = (rng.randint(-3, 3),) * scheme.rho
+    return make_system(scheme, [(div, action ** rng.randint(0, 2))
+                                for _ in range(s)])
 
 
-def _single_bundle_family(rng, count):
+def single_bundle_system(rng, scheme) -> BimoduleSystem:
     """s = 1: no commutation constraints, any permutation power."""
-    out = []
-    for _ in range(count):
-        d = rng.choice((1, 2, 3))
-        perm = _cycle(d) if d > 1 and rng.random() < 0.5 else tuple(range(d))
-        if d > 1 and rng.random() < 0.5:
-            perm = _transposition(d)
-        action = perm_matrix(perm) ** rng.randint(0, 2)
-        out.append(make_system(p1_power_scheme(d),
-                               [(_rand_divisor(rng, d), action)]))
-    return out
+    d = scheme.rho
+    perm = _cycle(d) if d > 1 and rng.random() < 0.5 else tuple(range(d))
+    if d > 1 and rng.random() < 0.5:
+        perm = _transposition(d)
+    action = perm_matrix(perm) ** rng.randint(0, 2)
+    return make_system(scheme, [(_rand_divisor(rng, d), action)])
 
 
-def _fibonacci_family(rng, count):
-    scheme = builtin_scheme("AbelianSurfaceHyperbolic")
-    out = []
-    for _ in range(count):
-        out.append(make_system(
-            scheme, [(_rand_divisor(rng, 2), FIB ** rng.randint(1, 2))]))
-    return out
+def fibonacci_system(rng, scheme) -> BimoduleSystem:
+    """One bundle twisted by a power of the hyperbolic matrix (rank 2)."""
+    return make_system(scheme, [(_rand_divisor(rng, 2), FIB ** rng.randint(1, 2))])
+
+
+def _family(build, rng, count, ranks):
+    """count systems on products of projective lines of the drawn ranks."""
+    return [build(rng, p1_power_scheme(rng.choice(ranks))) for _ in range(count)]
 
 
 @lru_cache(maxsize=None)
 def duality_corpus() -> tuple[BimoduleSystem, ...]:
     """At least 100 valid systems with geometrically realizable actions."""
     rng = random.Random(SEED)
+    abelian = builtin_scheme("AbelianSurfaceHyperbolic")
     systems = []
-    systems += _identity_family(rng, 32)
-    systems += _shared_action_family(rng, 24)
-    systems += _invariant_divisor_family(rng, 24)
-    systems += _single_bundle_family(rng, 12)
-    systems += _fibonacci_family(rng, 8)
+    systems += _family(identity_system, rng, 32, (1, 2, 2, 3))
+    systems += _family(shared_action_system, rng, 24, (2, 3))
+    systems += _family(invariant_divisor_system, rng, 24, (2, 3))
+    systems += _family(single_bundle_system, rng, 12, (1, 2, 3))
+    systems += [fibonacci_system(rng, abelian) for _ in range(8)]
     assert len(systems) >= 100
     return tuple(systems)
 
@@ -188,8 +186,7 @@ def ample_corpus() -> tuple[BimoduleSystem, ...]:
         systems.append(make_system(p1_power_scheme(d), pairs))
     for _ in range(9):
         d = rng.choice((2, 3))
-        perm = _cycle(d) if (d == 3 and rng.random() < 0.5) else _transposition(d)
-        action = perm_matrix(perm)
+        action = _perm_action(rng, d)
         s = rng.randint(1, 2)
         base = _rand_divisor(rng, d, 1, 2)
         pairs = []
@@ -199,8 +196,7 @@ def ample_corpus() -> tuple[BimoduleSystem, ...]:
         systems.append(make_system(p1_power_scheme(d), pairs))
     for _ in range(9):
         d = rng.choice((2, 3))
-        perm = _cycle(d) if (d == 3 and rng.random() < 0.5) else _transposition(d)
-        action = perm_matrix(perm)
+        action = _perm_action(rng, d)
         s = rng.randint(1, 2)
         c = rng.randint(1, 3)
         pairs = [((c,) * d, action ** rng.randint(0, 2)) for _ in range(s)]
@@ -217,7 +213,7 @@ def unipotent_corpus() -> tuple[BimoduleSystem, ...]:
     them, which is exactly what the symbolic/direct agreement must survive.
     """
     rng = random.Random(SEED + 2)
-    systems = list(_identity_family(rng, 12))
+    systems = _family(identity_system, rng, 12, (1, 2, 2, 3))
     upper = Matrix.from_rows([[1, 1], [0, 1]])
     scheme2 = builtin_scheme("P1xP1")
     for _ in range(6):

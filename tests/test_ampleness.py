@@ -3,17 +3,24 @@ import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     IDENT,
     ample_corpus,
     duality_corpus,
+    fibonacci_system,
     golden_fibonacci,
     golden_line_and_inverse,
     golden_pair,
     golden_single_line,
     golden_swap,
     golden_warning,
+    identity_system,
+    invariant_divisor_system,
+    shared_action_system,
+    single_bundle_system,
 )
 from ncample import ampleness
 from ncample.ampleness import (
@@ -34,7 +41,7 @@ from ncample.bimodule_system import (
 from ncample.errors import ArityError, GeometricRealizabilityWarning, NotQuasiUnipotent
 from ncample.lattice_algebra import Matrix
 from ncample.numeric_polynomials import MultiPoly, eventually_positive
-from ncample.scheme_model import builtin_scheme
+from ncample.scheme_model import builtin_scheme, p1_power_scheme
 
 
 def quiet_verdict(sys, bound=8):
@@ -243,7 +250,27 @@ class TestSigmaVerdict:
             sigma_ample_verdict(golden_pair())
 
 
+# every corpus family on P1, P1xP1, P1^3, P2 and the abelian surface, and
+# the hyperbolic twist on the abelian surface
+_ABELIAN = builtin_scheme("AbelianSurfaceHyperbolic")
+DUALITY_CASES = [
+    (scheme, build)
+    for scheme in (*map(p1_power_scheme, (1, 2, 3)), builtin_scheme("P2"), _ABELIAN)
+    for build in (identity_system, shared_action_system,
+                  invariant_divisor_system, single_bundle_system)
+] + [(_ABELIAN, fibonacci_system)]
+
+
 class TestDuality:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(DUALITY_CASES), st.randoms(use_true_random=False))
+    def test_kinds_agree_on_random_systems(self, case, rng):
+        # the main theorem: right and left ampleness are equivalent, so the
+        # kinds agree exactly, Undetermined included
+        scheme, build = case
+        sys = build(rng, scheme)
+        assert quiet_verdict(sys).kind == quiet_verdict(dual(sys)).kind
+
     def test_corpus_kinds_agree(self):
         decisive = 0
         for sys in duality_corpus()[:40]:

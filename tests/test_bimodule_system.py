@@ -140,11 +140,11 @@ class TestSymbolicClass:
             (square, (2, 2)),
             (product(square, golden_swap()), (2, 2, 2)),
             # invariant divisors under independent powers of one permutation
-            # (the third family of scripts/duality_sweep.py)
+            # (the corpus family invariant_divisor_system)
             (make_system(p1xp1, [((1, 1), SWAP), ((-1, -1), IDENT[2]),
                                  ((2, 2), SWAP)]), (2, 1, 2)),
             # one shared permutation, divisors differing by an invariant
-            # shift (the second family): the first residue swaps the
+            # shift (shared_action_system): the first residue swaps the
             # second bundle's classes
             (make_system(p1xp1, [((1, 0), SWAP), ((2, 1), SWAP)]), (2, 2)),
             # the shear moves the second bundle's classes, and

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from corpus import run_python
 from ncample import bimodule_system, cli, scheme_model
 from ncample.cli import main, run
 from ncample.scheme_model import builtin_scheme
@@ -12,6 +13,14 @@ DATA = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "data
 
 def data(name: str) -> str:
     return os.path.join(DATA, name)
+
+
+def load_data(name: str) -> dict:
+    with open(data(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+DOCUMENTS = sorted(name for name in os.listdir(DATA) if name.endswith(".json"))
 
 
 def boundary_doc() -> dict:
@@ -53,8 +62,21 @@ class TestValidate:
         assert code == 1
         assert "error" in report["payload"]
 
+    def test_unreadable_documents(self, tmp_path, capsys):
+        # files go through the library's parser, with the path in front
+        for name, raw, message in (
+                ("bad.json", b"\x80abc",
+                 "invalid JSON: 'utf-8' codec can't decode byte 0x80"),
+                ("list.json", b"[1, 2]", "top-level JSON value must be an object")):
+            path = tmp_path / name
+            path.write_bytes(raw)
+            assert main(["validate", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"ncample: {path}: {message}")
+
     def test_oracle_shadow_mismatch(self, tmp_path):
-        doc = json.loads(open(data("swap-ring.json"), encoding="utf-8").read())
+        doc = load_data("swap-ring.json")
         doc["bimodules"][0]["matrix"] = [[1, 0], [0, 1]]
         code, report = run(["validate", write_doc(tmp_path, "bad.json", doc)])
         assert code == 1
@@ -72,7 +94,7 @@ class TestValidate:
              lambda d: d["oracle"]["automorphisms"][0].update(perm=[2.9, 1])),
         ]
         for name, commands, edit in edits:
-            doc = json.loads(open(data(name), encoding="utf-8").read())
+            doc = load_data(name)
             edit(doc)
             path = write_doc(tmp_path, "bad.json", doc)
             for command in commands:
@@ -82,7 +104,7 @@ class TestValidate:
 
 
     def test_zero_denominator_moebius_rejected(self, tmp_path):
-        doc = json.loads(open(data("swap-ring.json"), encoding="utf-8").read())
+        doc = load_data("swap-ring.json")
         doc["oracle"]["automorphisms"][0]["mobius"][0][0][0] = "1/0"
         code, report = run(["validate", write_doc(tmp_path, "bad.json", doc)])
         assert code == 1
@@ -90,7 +112,7 @@ class TestValidate:
 
     def test_star_flag_must_be_boolean(self, tmp_path):
         for star in ("false", 0, 1, None):
-            doc = json.loads(open(data("p1-O1.json"), encoding="utf-8").read())
+            doc = load_data("p1-O1.json")
             doc["bimodules"][0]["star"] = star
             path = write_doc(tmp_path, "bad.json", doc)
             for command in ("validate", "verdict"):
@@ -158,6 +180,17 @@ class TestVerdict:
         code, report = run(["verdict", data("unipotent-warning.json")])
         assert code == 0
         assert any("nilpotency bound" in w for w in report["warnings"])
+
+
+class TestEveryDocument:
+    def test_verdict_then_gk(self):
+        # verdict on every data/ document, and gk wherever it is NCAmple
+        assert DOCUMENTS
+        for name in DOCUMENTS:
+            code, report = run(["verdict", data(name)])
+            assert code in (0, 2), name
+            if report["payload"]["kind"] == "NCAmple":
+                assert run(["gk", data(name)])[0] in (0, 2), name
 
 
 class TestGk:
@@ -333,11 +366,10 @@ class TestSchemeFlag:
 
 
 class TestOracleCompare:
-    FILES = ("builtin-pair.json", "swap-ring.json", "parabolic-p1.json",
-             "diagonal-triple.json", "trivial-triple.json")
-
     def test_all_corpus_files_agree(self):
-        for name in self.FILES:
+        names = [name for name in DOCUMENTS if "oracle" in load_data(name)]
+        assert names
+        for name in names:
             code, report = run(["oracle", "compare", data(name), "--range", "3"])
             assert code == 0, name
             payload = report["payload"]
@@ -407,6 +439,11 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ncample:" in captured.err
+
+    def test_module_entry_point(self):
+        # python -m ncample runs the CLI from a checkout without installing it
+        out = run_python("-m", "ncample", "verdict", data("p1-O1.json"))
+        assert "kind: NCAmple" in out.splitlines()
 
     def test_warning_rendered(self, capsys):
         code = main(["verdict", data("unipotent-warning.json")])

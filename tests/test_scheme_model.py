@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import run_optimized
+from ncample.bimodule_system import load_system
 from ncample.errors import EmptyCone, NotIntegerValued, ParseError
 from ncample.numeric_polynomials import MultiPoly
 from ncample.scheme_model import (
@@ -166,6 +167,13 @@ class TestLoadScheme:
         with pytest.raises(ParseError):
             load_scheme("{broken")
 
+    def test_bytes_read_as_utf8(self):
+        text = json.dumps(builtin_scheme("P2").to_document())
+        assert load_scheme(text.encode("utf-8")).name == "P2"
+        for load, raw in ((load_scheme, b"\x80abc"), (load_system, b"\x80")):
+            with pytest.raises(ParseError, match="invalid JSON: 'utf-8' codec"):
+                load(raw)
+
 
 class TestConeSearch:
     def test_matches_shell_walk(self):
@@ -226,7 +234,8 @@ from fractions import Fraction
 from ncample.bimodule_system import (branch_class_polys, class_at, load_system,
                                      make_system)
 from ncample.errors import ParseError
-from ncample.lattice_algebra import Matrix, geometric_sum
+from ncample.lattice_algebra import (Matrix, UniPoly, cyclotomic, euler_phi,
+                                     geometric_sum)
 from ncample.numeric_polynomials import MultiPoly, binom_int, compose
 from ncample.scheme_model import (DivisorClass, NumericalScheme,
                                   builtin_scheme, load_scheme, p1_power_scheme)
@@ -266,6 +275,11 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: Matrix.identity(2) ** -1,
              lambda: Matrix.identity(2).apply((1,)),
              lambda: geometric_sum(Matrix.identity(2), -1),
+             lambda: cyclotomic(0),
+             lambda: cyclotomic(-2),
+             lambda: euler_phi(0),
+             lambda: UniPoly((1, 2)).divide_exact(UniPoly((1, 2))),
+             lambda: UniPoly((1,)).divide_exact(UniPoly(())),
              lambda: class_at(line, (1, 2)),
              lambda: class_at(line, (-1,)),
              lambda: branch_class_polys(line, (1, 1)),
@@ -294,4 +308,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 43
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 48
