@@ -150,88 +150,6 @@ class BranchRecord:
 
 
 @dataclass(frozen=True)
-class EventualAmplenessResult:
-    kind: str  # yes | no | unknown
-    m0: tuple[int, ...] | None = None
-    witness: RayWitness | None = None
-    bound: int | None = None
-    records: tuple[BranchRecord, ...] = ()
-
-
-def eventual_ampleness(sys: BimoduleSystem,
-                       search_bound: int = DEFAULT_SEARCH_BOUND,
-                       screen: ScreenReport | None = None) -> EventualAmplenessResult:
-    """Certified search for a corner beyond which every class is ample.
-
-    Branches are scanned in lexicographic residue order and functionals in
-    declaration order; the first falsified pair is reported.
-    """
-    if screen is None:
-        screen = quasi_unipotent_screen(sys)
-    if not screen.all_quasi_unipotent:
-        raise NotQuasiUnipotent(screen.first_failure)
-    periods = screen.orders
-    s = sys.s
-    cone = sys.scheme.cone
-    records: list[BranchRecord] = []
-    branch_shifts: dict[tuple[int, ...], int] = {}
-    saw_unknown = False
-    # a cone-preserving action permutes the functionals, so most
-    # polynomials recur; each distinct one is searched once
-    searched = {}
-    for residue, polys in branch_class_polys(sys, periods).items():
-        columns: dict[tuple[int, ...], list[int]] = {}
-        for i, poly in enumerate(polys):
-            for key, coeff in poly.terms.items():
-                columns.setdefault(key, [0] * len(polys))[i] = coeff
-        shift = 0
-        for k, row in enumerate(cone):
-            terms = {key: value for key, col in columns.items()
-                     if (value := sum(map(mul, row, col)))}
-            seen = frozenset(terms.items())
-            outcome = searched.get(seen)
-            if outcome is None:
-                outcome = searched[seen] = eventually_positive(MultiPoly(s, terms),
-                                                               search_bound)
-            if outcome.is_no:
-                witness = RayWitness(
-                    residue=residue,
-                    functional_index=k,
-                    functional=row,
-                    base=tuple(c + r * b for c, r, b in
-                               zip(residue, periods, outcome.base)),
-                    direction=tuple(r * v for r, v in
-                                    zip(periods, outcome.direction)),
-                    threshold=outcome.threshold,
-                )
-                records.append(BranchRecord(residue, k, "no"))
-                return EventualAmplenessResult(
-                    "no", witness=witness, bound=search_bound,
-                    records=tuple(records))
-            if outcome.is_yes:
-                t = max(outcome.m0) if outcome.m0 else 0
-                shift = max(shift, t)
-                records.append(BranchRecord(residue, k, "yes", shift=t))
-            else:
-                saw_unknown = True
-                records.append(BranchRecord(residue, k, "unknown"))
-        branch_shifts[residue] = shift
-    if saw_unknown:
-        return EventualAmplenessResult("unknown", bound=search_bound,
-                                       records=tuple(records))
-    # assemble the corner: a branch certified from diagonal shift t covers
-    # its residue class beyond c_i + r_i*(t-1), so the corner is the
-    # componentwise max of those cutoffs plus one
-    m0 = [0] * s
-    for residue, t in branch_shifts.items():
-        if t >= 1:
-            for i in range(s):
-                m0[i] = max(m0[i], residue[i] + periods[i] * (t - 1) + 1)
-    return EventualAmplenessResult("yes", m0=tuple(m0), bound=search_bound,
-                                   records=tuple(records))
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of the ampleness decision, with its certificate data."""
 
@@ -277,26 +195,96 @@ class Verdict:
 _CONE_NOTE = "ampleness judged relative to the declared polyhedral cone"
 
 
+def _verdict(kind, sys, search_bound, screen, *notes, **certificate) -> Verdict:
+    """A Verdict carrying the star flags, the cone note, the screen's
+    warnings and any further notes."""
+    return Verdict(kind, search_bound, screen,
+                   star_flags=tuple(b.star for b in sys.bimodules),
+                   notes=(_CONE_NOTE,) + screen.warnings + notes, **certificate)
+
+
+def eventual_ampleness(sys: BimoduleSystem,
+                       search_bound: int = DEFAULT_SEARCH_BOUND,
+                       screen: ScreenReport | None = None) -> Verdict:
+    """Certified search for a corner beyond which every class is ample.
+
+    Returns NCAmple with the corner m0, EventualAmplenessFail with a ray
+    witness, or Undetermined, each with its branch records.  Branches are
+    scanned in lexicographic residue order and functionals in declaration
+    order; the first falsified pair is reported.
+    """
+    if screen is None:
+        screen = quasi_unipotent_screen(sys)
+    if not screen.all_quasi_unipotent:
+        raise NotQuasiUnipotent(screen.first_failure)
+    periods = screen.orders
+    s = sys.s
+    cone = sys.scheme.cone
+    records: list[BranchRecord] = []
+    branch_shifts: dict[tuple[int, ...], int] = {}
+    saw_unknown = False
+    # a cone-preserving action permutes the functionals, so most
+    # polynomials recur; each distinct one is searched once
+    searched = {}
+    for residue, polys in branch_class_polys(sys, periods).items():
+        columns: dict[tuple[int, ...], list[int]] = {}
+        for i, poly in enumerate(polys):
+            for key, coeff in poly.terms.items():
+                columns.setdefault(key, [0] * len(polys))[i] = coeff
+        shift = 0
+        for k, row in enumerate(cone):
+            terms = {key: value for key, col in columns.items()
+                     if (value := sum(map(mul, row, col)))}
+            seen = frozenset(terms.items())
+            outcome = searched.get(seen)
+            if outcome is None:
+                outcome = searched[seen] = eventually_positive(MultiPoly(s, terms),
+                                                               search_bound)
+            if outcome.is_no:
+                witness = RayWitness(
+                    residue=residue,
+                    functional_index=k,
+                    functional=row,
+                    base=tuple(c + r * b for c, r, b in
+                               zip(residue, periods, outcome.base)),
+                    direction=tuple(r * v for r, v in
+                                    zip(periods, outcome.direction)),
+                    threshold=outcome.threshold,
+                )
+                records.append(BranchRecord(residue, k, "no"))
+                return _verdict("EventualAmplenessFail", sys, search_bound, screen,
+                                witness=witness, records=tuple(records))
+            if outcome.is_yes:
+                t = max(outcome.m0) if outcome.m0 else 0
+                shift = max(shift, t)
+                records.append(BranchRecord(residue, k, "yes", shift=t))
+            else:
+                saw_unknown = True
+                records.append(BranchRecord(residue, k, "unknown"))
+        branch_shifts[residue] = shift
+    if saw_unknown:
+        return _verdict("Undetermined", sys, search_bound, screen,
+                        records=tuple(records))
+    # assemble the corner: a branch certified from diagonal shift t covers
+    # its residue class beyond c_i + r_i*(t-1), so the corner is the
+    # componentwise max of those cutoffs plus one
+    m0 = [0] * s
+    for residue, t in branch_shifts.items():
+        if t >= 1:
+            for i in range(s):
+                m0[i] = max(m0[i], residue[i] + periods[i] * (t - 1) + 1)
+    return _verdict("NCAmple", sys, search_bound, screen, m0=tuple(m0),
+                    records=tuple(records))
+
+
 def nc_ample_verdict(sys: BimoduleSystem,
                      search_bound: int = DEFAULT_SEARCH_BOUND) -> Verdict:
     """Full decision: quasi-unipotence screen, then eventual ampleness."""
     screen = quasi_unipotent_screen(sys)
-    stars = tuple(b.star for b in sys.bimodules)
-    notes = (_CONE_NOTE,) + screen.warnings
     if not screen.all_quasi_unipotent:
-        return Verdict("QuasiUnipotentFail", search_bound, screen,
-                       fail_index=screen.first_failure, star_flags=stars,
-                       notes=notes)
-    outcome = eventual_ampleness(sys, search_bound, screen=screen)
-    if outcome.kind == "yes":
-        return Verdict("NCAmple", search_bound, screen, m0=outcome.m0,
-                       records=outcome.records, star_flags=stars, notes=notes)
-    if outcome.kind == "no":
-        return Verdict("EventualAmplenessFail", search_bound, screen,
-                       witness=outcome.witness, records=outcome.records,
-                       star_flags=stars, notes=notes)
-    return Verdict("Undetermined", search_bound, screen,
-                   records=outcome.records, star_flags=stars, notes=notes)
+        return _verdict("QuasiUnipotentFail", sys, search_bound, screen,
+                        fail_index=screen.first_failure)
+    return eventual_ampleness(sys, search_bound, screen=screen)
 
 
 def sigma_ample_verdict(sys: BimoduleSystem,
@@ -305,22 +293,15 @@ def sigma_ample_verdict(sys: BimoduleSystem,
     if sys.s != 1:
         raise ArityError(f"sigma_ample_verdict needs one bimodule, got {sys.s}")
     screen = quasi_unipotent_screen(sys)
-    stars = tuple(b.star for b in sys.bimodules)
-    notes = (_CONE_NOTE,) + screen.warnings
     if not screen.all_quasi_unipotent:
-        return Verdict("QuasiUnipotentFail", search_bound, screen,
-                       fail_index=screen.first_failure, star_flags=stars,
-                       notes=notes)
+        return _verdict("QuasiUnipotentFail", sys, search_bound, screen,
+                        fail_index=screen.first_failure)
     for m in range(1, search_bound + 1):
         if sys.scheme.is_ample(class_at(sys, (m,))):
-            return Verdict("SigmaAmple", search_bound, screen, power=m,
-                           star_flags=stars, notes=notes)
-    supplementary = None
+            return _verdict("SigmaAmple", sys, search_bound, screen, power=m)
     outcome = eventual_ampleness(sys, search_bound, screen=screen)
-    if outcome.kind == "no":
-        supplementary = outcome.witness
-        notes = notes + ("no sampled power is ample and a cofinal negative "
-                         "ray exists",)
-    return Verdict("Undetermined", search_bound, screen,
-                   supplementary_witness=supplementary, star_flags=stars,
-                   notes=notes)
+    if outcome.kind == "EventualAmplenessFail":
+        return _verdict("Undetermined", sys, search_bound, screen,
+                        "no sampled power is ample and a cofinal negative "
+                        "ray exists", supplementary_witness=outcome.witness)
+    return _verdict("Undetermined", sys, search_bound, screen)

@@ -220,8 +220,7 @@ def product(sys_x: BimoduleSystem, sys_y: BimoduleSystem) -> BimoduleSystem:
         tuple((0,) * sx.rho + tuple(row) for row in sy.cone)
     note = "lattice is the direct-sum sublattice of the product model"
     scheme = NumericalScheme.build(
-        f"{sx.name} x {sy.name}", sx.dim + sy.dim, rho, euler, cone, note=note,
-        interior_hint=sx.interior_point + sy.interior_point)
+        f"{sx.name} x {sy.name}", sx.dim + sy.dim, rho, euler, cone, note=note)
     bims = []
     for bim in sys_x.bimodules:
         div = bim.divisor.coords + (0,) * sy.rho

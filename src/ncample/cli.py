@@ -2,7 +2,7 @@
 
 Subcommands: validate, verdict, gk, class, dual, veronese, rees, tensor,
 oracle compare.  Exit codes: 0 decisive success, 2 honest indecision
-(Unknown or Undetermined), 1 validation or usage error.
+(Undetermined), 1 validation or usage error.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def _cmd_gk(args, report) -> int:
     except NotNCAmple as exc:
         report["payload"] = {"error": str(exc), "verdict_kind": exc.verdict_kind}
         print(f"ncample: {exc}", file=sys.stderr)
-        return 2 if exc.verdict_kind in ("Unknown", "Undetermined") else 1
+        return 2 if exc.verdict_kind == "Undetermined" else 1
     report["payload"] = cert.to_json()
     return 0
 

@@ -212,9 +212,6 @@ class MultiPoly:
                 del out[k]
         return MultiPoly(self.nvars, out)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + other.scale(-1)
-
     def scale(self, c: int) -> "MultiPoly":
         c = int(c)
         if c == 0:

@@ -36,7 +36,7 @@ from ncample.errors import (
     UnipotentRequired,
 )
 from ncample.lattice_algebra import Matrix
-from ncample.scheme_model import builtin_scheme
+from ncample.scheme_model import builtin_scheme, load_scheme
 
 
 class TestValidation:
@@ -238,6 +238,25 @@ class TestConstructors:
     def test_product_notes_sublattice(self):
         prod = product(golden_pair(), golden_swap())
         assert "sublattice" in prod.scheme.note
+
+    def test_product_interior_point_is_searched(self):
+        # the factors' first points side by side, (3, 2) and (-1, 1), lie in
+        # the product cone, but its first point is (3, 2, -3, 2); the product
+        # reports the same point as its own reloaded document
+        def cone_system(rows):
+            rho = len(rows[0])
+            scheme = load_scheme({"name": "cone", "dim": rho, "rho": rho,
+                                  "euler": [{"coeff": "1", "exponents": [0] * rho}],
+                                  "ample_cone": rows})
+            return make_system(scheme, [((1,) * rho, Matrix.identity(rho))])
+
+        a = cone_system([[1, -1], [-1, 2]])
+        b = cone_system([[1, 2]])
+        assert a.scheme.interior_point == (3, 2)
+        assert b.scheme.interior_point == (-1, 1)
+        prod = product(a, b)
+        reloaded = load_system(system_to_document(prod))
+        assert prod.scheme.interior_point == reloaded.scheme.interior_point == (3, 2, -3, 2)
 
 
 class TestDocuments:

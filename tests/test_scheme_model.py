@@ -89,6 +89,14 @@ class TestBuiltins:
         for scheme, monomials in wanted:
             assert scheme.euler == MultiPoly.from_monomials(scheme.rho, monomials)
 
+    def test_hinted_interior_point_is_the_searched_one(self):
+        # the factories skip the cone search with a hint; it must be the
+        # point the search finds for the same scheme read from its document
+        for scheme in (*map(builtin_scheme, builtin_names()),
+                       *map(p1_power_scheme, range(1, 5))):
+            searched = load_scheme(scheme.to_document()).interior_point
+            assert scheme.interior_point == searched, scheme.name
+
 
 class TestAmpleness:
     def test_strict_inequalities(self):
