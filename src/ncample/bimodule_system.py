@@ -55,6 +55,16 @@ class BimoduleSystem:
                 if left != right:
                     raise ClassCommutationFail(i, j)
 
+    @staticmethod
+    def _trusted(scheme: NumericalScheme, bimodules: tuple[Bimodule, ...]) -> "BimoduleSystem":
+        """A system from bimodules already known to be valid together, such
+        as those derived from a valid system; it skips the determinant and
+        commutation checks of __post_init__."""
+        sys = object.__new__(BimoduleSystem)
+        object.__setattr__(sys, "scheme", scheme)
+        object.__setattr__(sys, "bimodules", bimodules)
+        return sys
+
     @property
     def s(self) -> int:
         return len(self.bimodules)
@@ -181,7 +191,12 @@ def dual(sys: BimoduleSystem) -> BimoduleSystem:
 
 
 def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
-    """Stride each factor by n_a: orbit-summed divisor, action power."""
+    """Stride each factor by n_a: orbit-summed divisor, action power.
+
+    The result needs no re-check: powers of commuting unimodular actions
+    are unimodular and commute, and the strided classes commute because
+    either order of two of them is the twisted product at one grade.
+    """
     nv = tuple(int(x) for x in n)
     if len(nv) != sys.s or any(x < 1 for x in nv):
         raise ParseError(f"strides must be {sys.s} positive integers, got {nv}")
@@ -189,7 +204,7 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
     for bim, n_a in zip(sys.bimodules, nv):
         div = geometric_sum(bim.action, n_a).apply(bim.divisor.coords)
         bims.append(Bimodule(DivisorClass(div), bim.action ** n_a, bim.star))
-    return BimoduleSystem(sys.scheme, tuple(bims))
+    return BimoduleSystem._trusted(sys.scheme, tuple(bims))
 
 
 def combined_single(sys: BimoduleSystem, n) -> BimoduleSystem:

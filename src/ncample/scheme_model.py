@@ -7,6 +7,7 @@ stands in for the ample classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -46,6 +47,18 @@ def _strict_int(value, what: str) -> int:
         except ValueError:
             pass
     raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def _rational(value) -> int | Fraction:
+    """The rational number a document entry spells, as Fraction(str(value))
+    reads it: an int when int() reads the text, since that is the common
+    case and int() accepts nothing Fraction() rejects, else a Fraction.
+    Raises what Fraction() raises (ValueError, ZeroDivisionError)."""
+    text = str(value)
+    try:
+        return int(text)
+    except ValueError:
+        return Fraction(text)
 
 
 def as_coords(vec) -> tuple[int, ...]:
@@ -234,8 +247,7 @@ def load_scheme(document) -> NumericalScheme:
             expts = tuple(_strict_int(e, "euler exponent") for e in term["exponents"])
             if len(expts) != rho or any(e < 0 for e in expts):
                 raise ParseError(f"bad euler exponents {list(expts)}")
-            coeff = Fraction(str(term["coeff"]))
-            monomials[expts] = monomials.get(expts, Fraction(0)) + coeff
+            monomials[expts] = monomials.get(expts, 0) + _rational(term["coeff"])
     except ParseError:
         raise
     except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
@@ -264,8 +276,10 @@ def _as_dict(document) -> dict:
     raise ParseError(f"cannot read a document from {type(document).__name__}")
 
 
+@functools.cache
 def p1_power_scheme(d: int) -> NumericalScheme:
-    """Product of d projective lines: dim d, rank d, counting product (n_i + 1)."""
+    """Product of d projective lines: dim d, rank d, counting product (n_i + 1).
+    The model is immutable, so it is built once per d."""
     if d < 1:
         raise ParseError(f"a product of projective lines needs d >= 1, got {d}")
     # prod (C(n_i,1) + 1) expands to every 0/1 exponent with coefficient 1

@@ -19,7 +19,7 @@ from .bimodule_system import BimoduleSystem, _read_bimodules, make_system
 from .errors import DegreeMismatch, ParseError
 from .gk_dimension import hilbert_value
 from .lattice_algebra import Matrix
-from .scheme_model import _strict_int, p1_power_scheme
+from .scheme_model import _rational, _strict_int, p1_power_scheme
 
 # A Moebius factor ((a, b), (c, d)) / den as the five integers
 # (a, b, c, d, den), with den > 0 and gcd(a, b, c, d, den) = 1, so equal
@@ -36,7 +36,7 @@ def _mob_reduced(a: int, b: int, c: int, d: int, den: int) -> Mob:
 
 def _mob(rows) -> Mob:
     try:
-        m = tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
+        m = tuple(tuple(_rational(x) for x in row) for row in rows)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"a Moebius entry must be a rational number: {exc}") from exc
     if len(m) != 2 or any(len(r) != 2 for r in m):
@@ -97,8 +97,18 @@ class FactorAutomorphism:
         return len(self.perm)
 
     @staticmethod
+    def _trusted(perm: tuple[int, ...], mobius: tuple[Mob, ...]) -> "FactorAutomorphism":
+        """A map from parts already known to be valid, such as a composite
+        or inverse of valid maps (a permutation with nonsingular reduced
+        factors); it skips the __post_init__ check."""
+        f = object.__new__(FactorAutomorphism)
+        object.__setattr__(f, "perm", perm)
+        object.__setattr__(f, "mobius", mobius)
+        return f
+
+    @staticmethod
     def identity(d: int) -> "FactorAutomorphism":
-        return FactorAutomorphism(tuple(range(d)), (_MOB_ID,) * d)
+        return FactorAutomorphism._trusted(tuple(range(d)), (_MOB_ID,) * d)
 
     @staticmethod
     def build(perm_1based, mobius_rows) -> "FactorAutomorphism":
@@ -109,17 +119,16 @@ class FactorAutomorphism:
         """self after other (self(other(p)))."""
         if self.d != other.d:
             raise ParseError(f"cannot compose maps of {self.d} and {other.d} factors")
-        perm = tuple(other.perm[self.perm[k]] for k in range(self.d))
-        mob = tuple(_mob_mul(self.mobius[k], other.mobius[self.perm[k]])
-                    for k in range(self.d))
-        return FactorAutomorphism(perm, mob)
+        perm = tuple(other.perm[p] for p in self.perm)
+        mob = tuple(_mob_mul(m, other.mobius[p]) for m, p in zip(self.mobius, self.perm))
+        return FactorAutomorphism._trusted(perm, mob)
 
     def inverse(self) -> "FactorAutomorphism":
         inv_perm = [0] * self.d
         for k, p in enumerate(self.perm):
             inv_perm[p] = k
         mob = tuple(_mob_inv(self.mobius[inv_perm[j]]) for j in range(self.d))
-        return FactorAutomorphism(tuple(inv_perm), mob)
+        return FactorAutomorphism._trusted(tuple(inv_perm), mob)
 
     def power(self, n: int) -> "FactorAutomorphism":
         base = self if n >= 0 else self.inverse()
@@ -174,25 +183,65 @@ def section_space_dim(multidegree) -> int:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MultiSection:
-    """Element of the section space of one multidegree, exact coefficients."""
+    """Element of the section space of one multidegree, exact coefficients.
+
+    The coefficients are integer numerators over one positive denominator,
+    in lowest terms (gcd of den and every numerator is 1, no zero
+    numerator), so equal sections have equal fields.  terms gives them as
+    Fractions.
+    """
 
     multidegree: tuple[int, ...]
-    terms: dict[tuple[int, ...], Fraction]
+    numerators: dict[tuple[int, ...], int]
+    den: int
 
-    def __post_init__(self):
-        d = len(self.multidegree)
-        for key, c in self.terms.items():
+    def __init__(self, multidegree, terms):
+        multidegree = tuple(multidegree)
+        d = len(multidegree)
+        for key, c in terms.items():
             if len(key) != 2 * d:
                 raise ParseError(f"exponent key {key} does not have {2 * d} entries")
+            if not isinstance(c, (int, Fraction)):
+                raise ParseError(f"exponent key {key} has coefficient {c!r}, "
+                                 f"not a rational number")
             if not c:
                 raise ParseError(f"exponent key {key} has a zero coefficient")
             for k in range(d):
                 e, f = key[2 * k], key[2 * k + 1]
-                if e < 0 or f < 0 or e + f != self.multidegree[k]:
+                if e < 0 or f < 0 or e + f != multidegree[k]:
                     raise ParseError(f"exponent key {key} is not a monomial of "
-                                     f"multidegree {self.multidegree}")
+                                     f"multidegree {multidegree}")
+        # over the lcm of reduced denominators, the numerators share no
+        # factor with it
+        den = lcm(*(c.denominator for c in terms.values()))
+        object.__setattr__(self, "multidegree", multidegree)
+        object.__setattr__(self, "numerators", {
+            k: c.numerator * (den // c.denominator) for k, c in terms.items()})
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _trusted(multidegree: tuple[int, ...], numerators: dict[tuple[int, ...], int],
+                 den: int) -> "MultiSection":
+        """The section numerators[key] / den, for keys already known to be
+        monomials of the multidegree and den > 0, such as a product or
+        pullback of valid sections; it drops zeros and reduces, and skips
+        the key check."""
+        numerators = {k: v for k, v in numerators.items() if v}
+        g = gcd(den, *numerators.values())
+        if g != 1:
+            numerators = {k: v // g for k, v in numerators.items()}
+            den //= g
+        section = object.__new__(MultiSection)
+        object.__setattr__(section, "multidegree", multidegree)
+        object.__setattr__(section, "numerators", numerators)
+        object.__setattr__(section, "den", den)
+        return section
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        return {k: Fraction(v, self.den) for k, v in self.numerators.items()}
 
     @staticmethod
     def monomial(multidegree, key, coeff=1) -> "MultiSection":
@@ -203,38 +252,21 @@ class MultiSection:
         if self.multidegree != other.multidegree:
             raise ParseError(f"cannot add sections of multidegrees "
                              f"{self.multidegree} and {other.multidegree}")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = out.get(k, Fraction(0)) + c
-            if c2:
-                out[k] = c2
-            elif k in out:
-                del out[k]
-        return MultiSection(self.multidegree, out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {k: v * fa for k, v in self.numerators.items()}
+        for k, v in other.numerators.items():
+            out[k] = out.get(k, 0) + v * fb
+        return MultiSection._trusted(self.multidegree, out, den)
 
     def __mul__(self, other: "MultiSection") -> "MultiSection":
         deg = tuple(a + b for a, b in zip(self.multidegree, other.multidegree))
-        terms_a, den_a = _integer_terms(self)
-        terms_b, den_b = _integer_terms(other)
         out: dict[tuple[int, ...], int] = {}
-        for ka, ca in terms_a.items():
-            for kb, cb in terms_b.items():
+        for ka, ca in self.numerators.items():
+            for kb, cb in other.numerators.items():
                 key = tuple(map(add, ka, kb))
                 out[key] = out.get(key, 0) + ca * cb
-        return _section_over(deg, out, den_a * den_b)
-
-
-def _integer_terms(section: MultiSection) -> tuple[dict[tuple[int, ...], int], int]:
-    """The coefficients as integers over their least common denominator."""
-    den = lcm(*(c.denominator for c in section.terms.values()))
-    return ({k: c.numerator * (den // c.denominator)
-             for k, c in section.terms.items()}, den)
-
-
-def _section_over(multidegree, numerators, den: int) -> MultiSection:
-    """The section with coefficients numerators[key] / den."""
-    return MultiSection(multidegree, {k: Fraction(v, den)
-                                      for k, v in numerators.items() if v})
+        return MultiSection._trusted(deg, out, self.den * other.den)
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -269,7 +301,8 @@ def pullback(sigma: FactorAutomorphism, section: MultiSection) -> MultiSection:
 
     Each factor's binomial images are expanded once, in integers, and every
     term maps to the product of its factors' images; the denominators of
-    the maps and of the section are divided out once per output term.
+    the maps and of the section are divided out once, by the reduction of
+    the result.
     """
     d = sigma.d
     if len(section.multidegree) != d:
@@ -284,16 +317,15 @@ def pullback(sigma: FactorAutomorphism, section: MultiSection) -> MultiSection:
     den = 1
     for k in range(d):
         den *= sigma.mobius[k][4] ** section.multidegree[k]
-    numerators, section_den = _integer_terms(section)
     out: dict[tuple[int, ...], int] = {}
-    for key, coeff in numerators.items():
+    for key, coeff in section.numerators.items():
         partial = [((), coeff)]
         for j, k in enumerate(source):
             partial = [(head + tail, c * v) for head, c in partial
                        for tail, v in images[j][key[2 * k]]]
         for image_key, c in partial:
             out[image_key] = out.get(image_key, 0) + c
-    return _section_over(new_deg, out, den * section_den)
+    return MultiSection._trusted(new_deg, out, den * section.den)
 
 
 @dataclass(frozen=True)
@@ -384,13 +416,15 @@ class OracleRing:
         return RingElement(piece.grade, section)
 
     def random_element(self, n, rng: random.Random) -> RingElement:
+        """Coefficients c / q with c uniform in [-3, 3] and q 2 with
+        probability 1/4, else 1, written over the denominator 2."""
         piece = self.graded_piece(n)
-        terms = {}
+        numerators = {}
         for key in piece.basis:
-            c = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2)))
-            if c:
-                terms[key] = c
-        return RingElement(piece.grade, MultiSection(piece.multidegree, terms))
+            c = rng.randint(-3, 3)
+            numerators[key] = c * (2 // rng.choice((1, 1, 1, 2)))
+        return RingElement(piece.grade,
+                           MultiSection._trusted(piece.multidegree, numerators, 2))
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         """a * (twist of b by the accumulated automorphism of a's grade)."""
@@ -425,6 +459,10 @@ def opposite_check(ring: OracleRing, max_grade_entry: int = 4,
     grade-n power of the original automorphisms; the check is
     tau(a . b) = tau(b) * tau(a) on random homogeneous pairs, exactly.
     """
+    if max_grade_entry < 0:
+        raise ParseError(f"max grade entry must be at least 0, got {max_grade_entry}")
+    if samples < 0:
+        raise ParseError(f"opposite samples must be at least 0, got {samples}")
     dual = ring.dual_ring()
     rng = random.Random(seed)
 
@@ -489,6 +527,8 @@ def hilbert_match(ring: OracleRing, sys: BimoduleSystem, upto: int) -> MatchRepo
     Grades whose expanded multidegree has a negative entry are skipped: there
     the section count and the signed count may legitimately differ.
     """
+    if upto < 1:
+        raise ParseError(f"grade range must be at least 1, got {upto}")
     checked = 0
     skipped = 0
     mismatches = []
@@ -515,8 +555,8 @@ def cross_validate(ring: OracleRing, sys: BimoduleSystem, *, grade_range: int,
     hexagon on `triple` unless it is None.  One seed drives both the
     triples and the opposite check.
     """
-    if grade_range < 1:
-        raise ParseError(f"grade range must be at least 1, got {grade_range}")
+    if samples < 0:
+        raise ParseError(f"samples must be at least 0, got {samples}")
     match = hilbert_match(ring, sys, grade_range)
     rng = random.Random(seed)
     failures = 0

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from corpus import (
     unipotent_corpus,
 )
 from ncample.bimodule_system import (
+    BimoduleSystem,
     branch_class_polys,
     class_at,
     combined_single,
@@ -189,6 +191,29 @@ class TestConstructors:
             for q in itertools.product(range(4), repeat=sys.s):
                 scaled = tuple(a * b for a, b in zip(strides, q))
                 assert class_at(v, q).coords == class_at(sys, scaled).coords
+
+    def _data_systems(self):
+        data = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+        for name in sorted(os.listdir(data)):
+            with open(os.path.join(data, name), "rb") as fh:
+                yield name, load_system(fh.read())
+
+    def test_veronese_skips_revalidation(self, monkeypatch):
+        # powers of commuting unimodular actions need no determinant
+        systems = list(self._data_systems())
+        calls = []
+        real_det = Matrix.det
+        monkeypatch.setattr(Matrix, "det", lambda m: calls.append(m) or real_det(m))
+        for name, sys in systems:
+            for strides in ((1,) * sys.s, (2,) * sys.s, (3, 1, 2)[:sys.s]):
+                veronese(sys, strides)
+        assert calls == []
+
+    def test_veronese_equals_revalidated_system(self):
+        for name, sys in self._data_systems():
+            for strides in itertools.product((1, 2, 3), repeat=sys.s):
+                v = veronese(sys, strides)
+                assert BimoduleSystem(v.scheme, v.bimodules) == v, (name, strides)
 
     def test_veronese_rejects_zero_stride(self):
         with pytest.raises(ParseError):

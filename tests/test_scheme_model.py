@@ -12,6 +12,7 @@ from ncample.errors import EmptyCone, NotIntegerValued, ParseError
 from ncample.numeric_polynomials import MultiPoly
 from ncample.scheme_model import (
     DivisorClass,
+    _rational,
     builtin_names,
     builtin_scheme,
     load_scheme,
@@ -76,6 +77,11 @@ class TestBuiltins:
         assert s3.name == "P1^3"
         assert p1_power_scheme(1).name == "P1"
         assert p1_power_scheme(2).name == "P1xP1"
+
+    def test_p1_power_built_once(self):
+        assert p1_power_scheme(3) is p1_power_scheme(3)
+        with pytest.raises(ParseError):
+            p1_power_scheme(0)
 
     def test_euler_matches_monomials(self):
         # the builtins state their counting polynomials in the binomial
@@ -181,6 +187,43 @@ class TestLoadScheme:
         for load, raw in ((load_scheme, b"\x80abc"), (load_system, b"\x80")):
             with pytest.raises(ParseError, match="invalid JSON: 'utf-8' codec"):
                 load(raw)
+
+
+class TestRational:
+    """The one parser of rational document entries reads what
+    Fraction(str(x)) reads, with its value and its errors."""
+
+    CASES = ("1_000", " 2 ", "+3", "-0", "\u0663", "1e2", "0.5", "1/2", "0x1",
+             "True", 1.5, "9" * 5000, 7, -12, "1/0", "", "٣/٤", "1__0")
+
+    @staticmethod
+    def _outcome(parse, x):
+        try:
+            return "value", parse(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+
+    def test_matches_fraction(self):
+        for x in self.CASES:
+            want = self._outcome(lambda v: Fraction(str(v)), x)
+            assert self._outcome(_rational, x) == want, repr(x)[:20]
+
+    def test_integers_stay_int(self):
+        # the common case builds no Fraction
+        assert type(_rational("-12")) is int
+        assert type(_rational(3)) is int
+        assert type(_rational("3/4")) is Fraction
+
+    def test_euler_coefficients_read_alike(self):
+        text = {"name": "x", "dim": 1, "rho": 1, "ample_cone": [[1]],
+                "euler": [{"coeff": "2/2", "exponents": [1]},
+                          {"coeff": "1_0", "exponents": [0]},
+                          {"coeff": 0.5, "exponents": [0]},
+                          {"coeff": "-1/2", "exponents": [0]}]}
+        assert load_scheme(text).euler == MultiPoly(1, {(1,): 1, (0,): 10})
+        text["euler"][0]["coeff"] = "0x1"
+        with pytest.raises(ParseError, match="Invalid literal for Fraction: '0x1'"):
+            load_scheme(text)
 
 
 class TestConeSearch:

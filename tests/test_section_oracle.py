@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from corpus import run_optimized
 from ncample.bimodule_system import dual as numeric_dual
 from ncample.bimodule_system import system_to_document
+from ncample import section_oracle
 from ncample.errors import DegreeMismatch, ParseError
 from ncample.section_oracle import (
     FactorAutomorphism,
@@ -445,6 +447,94 @@ class TestAgainstFractionAlgebra:
         assert report["ok"], report
 
 
+def fraction_random_terms(basis, rng):
+    """The Fraction draw random_element made before sections were kept
+    fraction-free, as its reference."""
+    terms = {}
+    for key in basis:
+        c = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2)))
+        if c:
+            terms[key] = c
+    return terms
+
+
+def scaled_ring():
+    # integer Moebius entries with det 2 and -2, as in the benchmark's rings
+    sw = FactorAutomorphism.build([2, 1], [[[2, 0], [0, 1]]] * 2)
+    sc = FactorAutomorphism.build([1, 2], [[[-2, 0], [0, 1]]] * 2)
+    return OracleRing(2, [((1, 0), sw), ((1, 1), sc)])
+
+
+def in_lowest_terms(section):
+    return (section.den > 0 and all(section.numerators.values())
+            and gcd(section.den, *section.numerators.values()) == 1)
+
+
+class TestFractionFreeSections:
+    """Sections are integer numerators over one positive denominator in
+    lowest terms; terms still reads them as Fractions."""
+
+    def test_equal_rationals_give_equal_sections(self):
+        deg, x, y = (1,), (1, 0), (0, 1)
+        half = MultiSection(deg, {x: Fraction(2, 4), y: 3})
+        assert half == MultiSection(deg, {x: Fraction(1, 2), y: Fraction(6, 2)})
+        assert (half.numerators, half.den) == ({x: 1, y: 6}, 2)
+        assert half.terms == {x: Fraction(1, 2), y: Fraction(3)}
+        assert MultiSection(deg, {x: 2}) == MultiSection(deg, {x: Fraction(2)})
+
+    def test_cancelling_sum_is_zero(self):
+        deg, x = (1, 1), (1, 0, 0, 1)
+        a = MultiSection(deg, {x: Fraction(1, 3), (0, 1, 1, 0): Fraction(1, 2)})
+        b = MultiSection(deg, {x: Fraction(-1, 3), (0, 1, 1, 0): Fraction(-1, 2)})
+        zero = a + b
+        assert zero == MultiSection(deg, {})
+        assert (zero.numerators, zero.den, zero.terms) == ({}, 1, {})
+        assert a + MultiSection(deg, {x: Fraction(2, 3)}) == \
+            MultiSection(deg, {x: 1, (0, 1, 1, 0): Fraction(1, 2)})
+
+    def test_results_stay_in_lowest_terms(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            d = rng.randint(1, 3)
+            f, _ = random_map(rng, d)
+            sec = random_section(rng, [rng.randint(0, 2) for _ in range(d)])
+            other = random_section(rng, sec.multidegree)
+            for result in (pullback(f, sec), sec * other, sec + other,
+                           pullback(f.inverse(), sec * sec)):
+                assert in_lowest_terms(result), result
+        ring = scaled_ring()
+        for _ in range(60):
+            assert in_lowest_terms(ring.random_element((rng.randint(0, 2), 1), rng).section)
+
+    def test_random_element_matches_fraction_draw(self):
+        for i in range(200):
+            ring = (ALL_RINGS + (scaled_ring,))[i % 6]()
+            grade = tuple(random.Random(i).randint(0, 3) for _ in range(ring.s))
+            rng, ref_rng = random.Random(1000 + i), random.Random(1000 + i)
+            got = ring.random_element(grade, rng)
+            piece = ring.graded_piece(grade)
+            want = fraction_random_terms(piece.basis, ref_rng)
+            assert got.section.terms == want
+            assert got.section == MultiSection(piece.multidegree, want)
+            assert rng.random() == ref_rng.random()
+
+    def test_integer_mobius_paths_build_no_fraction(self, monkeypatch):
+        ring = scaled_ring()
+        rng = random.Random(9)
+        built = []
+        monkeypatch.setattr(section_oracle, "Fraction",
+                            lambda *args: built.append(args) or Fraction(*args))
+        for _ in range(30):
+            grades = [tuple(rng.randint(0, 2) for _ in range(2)) for _ in range(3)]
+            a, b, c = (ring.random_element(g, rng) for g in grades)
+            left = ring.multiply(ring.multiply(a, b), c)
+            assert left == ring.multiply(a, ring.multiply(b, c))
+            moved = pullback(ring.twist_power(c.grade), a.section)
+            assert moved + moved == pullback(ring.twist_power(c.grade),
+                                             a.section + a.section)
+        assert built == []
+
+
 class TestLoadOracle:
     def _doc(self):
         return {
@@ -481,12 +571,14 @@ class TestLoadOracle:
 _BAD_ARGUMENTS = """
 from ncample.errors import ParseError
 from ncample.section_oracle import (FactorAutomorphism, MultiSection, OracleRing,
-                                    bergman_check, pullback)
+                                    bergman_check, cross_validate, hilbert_match,
+                                    opposite_check, pullback)
 
 ident = FactorAutomorphism.identity(1)
 swap = FactorAutomorphism.build([2, 1], [[[1, 0], [0, 1]]] * 2)
 swap_ring = OracleRing(2, [((1, 0), swap)])
 pair_ring = OracleRing(1, [((1,), ident), ((1,), ident)])
+pair_sys = pair_ring.numerical_shadow()
 one = [[1, 0], [0, 1]]
 for call in (lambda: swap_ring.graded_multidegree((-2,)),
              lambda: swap_ring.graded_multidegree((1, 5)),
@@ -504,7 +596,15 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
                      + MultiSection.monomial((2,), (1, 1)),
              lambda: FactorAutomorphism.identity(2).compose(FactorAutomorphism.identity(3)),
              lambda: pullback(FactorAutomorphism.identity(2),
-                              MultiSection.monomial((1,), (1, 0)))):
+                              MultiSection.monomial((1,), (1, 0))),
+             lambda: MultiSection((1,), {(1, 0): 0.5}),
+             lambda: opposite_check(pair_ring, max_grade_entry=-1),
+             lambda: opposite_check(pair_ring, samples=-1),
+             lambda: hilbert_match(pair_ring, pair_sys, 0),
+             lambda: cross_validate(pair_ring, pair_sys, grade_range=1, samples=-1,
+                                    opposite_samples=0, seed=0, triple=None),
+             lambda: cross_validate(pair_ring, pair_sys, grade_range=1, samples=0,
+                                    opposite_samples=-1, seed=0, triple=None)):
     try:
         print(call())
     except ParseError:
@@ -514,4 +614,4 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
 
 def test_bad_arguments_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 15
+    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 21
