@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .bimodule_system import BimoduleSystem, branch_class_polys, class_at
+from .bimodule_system import BimoduleSystem, _twisted_walk, branch_class_polys
 from .errors import (ArityError, GeometricRealizabilityWarning,
                      NotQuasiUnipotent)
 from .lattice_algebra import Matrix, is_quasi_unipotent, nilpotency_degree
@@ -226,15 +226,11 @@ def eventual_ampleness(sys: BimoduleSystem,
     # a cone-preserving action permutes the functionals, so most
     # polynomials recur; each distinct one is searched once
     searched = {}
-    for residue, polys in branch_class_polys(sys, periods).items():
-        columns: dict[tuple[int, ...], list[int]] = {}
-        for i, poly in enumerate(polys):
-            for key, coeff in poly.terms.items():
-                columns.setdefault(key, [0] * len(polys))[i] = coeff
+    for residue, vectors in branch_class_polys(sys, periods).items():
         shift = 0
         for k, row in enumerate(cone):
-            terms = {key: value for key, col in columns.items()
-                     if (value := sum(map(mul, row, col)))}
+            terms = {key: value for key, vec in vectors.items()
+                     if (value := sum(map(mul, row, vec)))}
             seen = frozenset(terms.items())
             outcome = searched.get(seen)
             if outcome is None:
@@ -296,8 +292,8 @@ def sigma_ample_verdict(sys: BimoduleSystem,
     if not screen.all_quasi_unipotent:
         return _verdict("QuasiUnipotentFail", sys, search_bound, screen,
                         fail_index=screen.first_failure)
-    for m in range(1, search_bound + 1):
-        if sys.scheme.is_ample(class_at(sys, (m,))):
+    for (m,), coords, _ in _twisted_walk(sys, [range(1, search_bound + 1)]):
+        if sys.scheme.is_ample(coords):
             return _verdict("SigmaAmple", sys, search_bound, screen, power=m)
     outcome = eventual_ampleness(sys, search_bound, screen=screen)
     if outcome.kind == "EventualAmplenessFail":

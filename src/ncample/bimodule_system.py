@@ -8,8 +8,8 @@ pairwise commutation of the actions and of the twisted classes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
                      NonInvertible, NotNilpotent, ParseError, UnipotentRequired)
@@ -80,37 +80,55 @@ def make_system(scheme, pairs, stars=None) -> BimoduleSystem:
     return BimoduleSystem(scheme, tuple(bims))
 
 
-def _twisted_product(sys: BimoduleSystem, n) -> tuple[tuple[int, ...], Matrix]:
-    """Class coordinates and action M_1^(n_1)...M_s^(n_s) of the n-fold
-    twisted product, exactly.
+def _twisted_walk(sys: BimoduleSystem, ranges):
+    """Yield (n, class coordinates, action M_1^(n_1)...M_s^(n_s)) of the
+    n-fold twisted product, exactly, for every n of itertools.product(*ranges)
+    in that order; each range is a run of consecutive grades.
 
-    The a-th factor contributes the partial orbit sum of its divisor,
-    transported by the accumulated actions of the earlier factors.
+    With the grades after a at 0, a step along bundle a adds M^n d_a to the
+    class and multiplies the action by M_a, so only the first grade of each
+    run goes through a geometric sum and a power, once per bundle.
     """
-    nv = tuple(int(x) for x in n)
-    if len(nv) != sys.s or any(x < 0 for x in nv):
-        raise ParseError(f"need {sys.s} nonnegative grade entries, got {nv}")
-    rho = sys.scheme.rho
-    total = (0,) * rho
-    prefix = Matrix.identity(rho)
-    for bim, n_a in zip(sys.bimodules, nv):
-        part = geometric_sum(bim.action, n_a).apply(bim.divisor.coords)
-        part = prefix.apply(part)
-        total = tuple(t + p for t, p in zip(total, part))
-        prefix = prefix * (bim.action ** n_a)
-    return total, prefix
+    runs = [tuple(int(x) for x in r) for r in ranges]
+    if len(runs) != sys.s or any(x < 0 for run in runs for x in run):
+        raise ParseError(f"need {sys.s} runs of nonnegative grades, got {runs}")
+    if not all(runs):
+        return
+    steps = [(bim.divisor.coords, bim.action) for bim in sys.bimodules]
+    firsts = [(geometric_sum(m, run[0]).apply(d), m ** run[0])
+              for (d, m), run in zip(steps, runs)]
+
+    def walk(a, n, coords, action):
+        if a == sys.s:
+            yield n, coords, action
+            return
+        (part, power), later = firsts[a], steps[a]
+        for x in runs[a]:
+            coords = tuple(map(add, coords, action.apply(part)))
+            action = action * power
+            part, power = later
+            yield from walk(a + 1, n + (x,), coords, action)
+
+    yield from walk(0, (), (0,) * sys.scheme.rho, Matrix.identity(sys.scheme.rho))
 
 
 def class_at(sys: BimoduleSystem, n) -> DivisorClass:
     """Divisor class of the n-fold twisted product, exactly."""
-    return DivisorClass(_twisted_product(sys, n)[0])
+    return DivisorClass(next(_twisted_walk(sys, [(x,) for x in n]))[1])
 
 
 # ---------------------------------------------------------------------------
 # symbolic evaluation
 
 def symbolic_class(sys: BimoduleSystem) -> list[MultiPoly]:
-    """class_at as a vector of polynomials in the s exponents.
+    """class_at as a vector of polynomials in the s exponents."""
+    vectors = _class_vectors(sys)
+    return [MultiPoly(sys.s, {key: vec[i] for key, vec in vectors.items() if vec[i]})
+            for i in range(sys.scheme.rho)]
+
+
+def _class_vectors(sys: BimoduleSystem) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """symbolic_class as integer vectors keyed by binomial exponents.
 
     Every action must be unipotent, M = I + N; raises UnipotentRequired
     with the first offending index.  With M^q = sum_k C(q,k) N^k and
@@ -118,8 +136,8 @@ def symbolic_class(sys: BimoduleSystem) -> list[MultiPoly]:
     D_1(q_1) + M_1^(q_1) (D_2(q_2) + M_2^(q_2) (... + D_s(q_s))), where
     D_a(q) = sum_k C(q,k+1) N_a^k d_a, is built from the last bundle to the
     first.  Every term is an integer vector times a product of binomials in
-    distinct variables, one basis element of MultiPoly, so the class is
-    kept as integer vectors keyed by binomial exponents.
+    distinct variables, one basis element of MultiPoly; the keys miss the
+    origin, where the class vanishes, and no vector is zero.
     """
     s, rho = sys.s, sys.scheme.rho
     identity = Matrix.identity(rho)
@@ -142,40 +160,26 @@ def symbolic_class(sys: BimoduleSystem) -> list[MultiPoly]:
                 if any(image):
                     moved[key[:a] + (key[a] + k,) + key[a + 1:]] = image
         vectors = moved
-    return _as_polys(s, rho, vectors)
+    return vectors
 
 
-def branch_class_polys(sys: BimoduleSystem,
-                       periods) -> dict[tuple[int, ...], list[MultiPoly]]:
-    """Polynomials giving class_at(c + periods*q) coordinatewise in q, keyed
-    by the residue c, in itertools.product order.
+def branch_class_polys(sys: BimoduleSystem, periods) -> dict[
+        tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]]:
+    """class_at(c + periods*q) as integer vectors keyed by binomial
+    exponents of q, for each residue c in itertools.product order.
 
     Each action raised to its period must be unipotent (UnipotentRequired
     names the first that is not).  The twisted sum gives
-    class(c + r*q) = class(c) + M^c class(r*q), and class(r*q) is the
-    symbolic class of the strided system, so it is computed once and moved
-    to each residue by that residue's action.  Valid for all integer q >= 0.
+    class(c + r*q) = class(c) + M^c S(q), where S is the class of the
+    strided system: its vectors are built once and moved by each residue's
+    action, and class(c) sits at the zero key, which S misses.  Valid for
+    all integer q >= 0.
     """
-    strided = symbolic_class(veronese(sys, periods))
-    rho = sys.scheme.rho
-    columns: dict[tuple[int, ...], list[int]] = {}
-    for i, poly in enumerate(strided):
-        for key, coeff in poly.terms.items():
-            columns.setdefault(key, [0] * rho)[i] = coeff
-    branches = {}
-    for residue in itertools.product(*(range(r) for r in periods)):
-        coords, action = _twisted_product(sys, residue)
-        vectors = {key: action.apply(col) for key, col in columns.items()}
-        # the strided class vanishes at q = 0, so its keys miss the origin
-        vectors[(0,) * sys.s] = coords
-        branches[residue] = _as_polys(sys.s, rho, vectors)
-    return branches
-
-
-def _as_polys(s: int, rho: int, vectors) -> list[MultiPoly]:
-    """Coordinate polynomials of a vector-valued sum keyed by binomial exponents."""
-    return [MultiPoly(s, {key: vec[i] for key, vec in vectors.items() if vec[i]})
-            for i in range(rho)]
+    strided = _class_vectors(veronese(sys, periods))
+    origin = (0,) * sys.s
+    walk = _twisted_walk(sys, [range(r) for r in periods])
+    return {residue: {origin: coords, **{k: action.apply(v) for k, v in strided.items()}}
+            for residue, coords, action in walk}
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,7 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
 
 def combined_single(sys: BimoduleSystem, n) -> BimoduleSystem:
     """Collapse the n-fold product to a single twisted divisor."""
-    coords, action = _twisted_product(sys, n)
+    _, coords, action = next(_twisted_walk(sys, [(x,) for x in n]))
     star = any(b.star for b in sys.bimodules)
     return BimoduleSystem(sys.scheme, (Bimodule(DivisorClass(coords), action, star),))
 

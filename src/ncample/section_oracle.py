@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .bimodule_system import BimoduleSystem, _read_bimodules, make_system
+from .bimodule_system import (BimoduleSystem, _read_bimodules, _twisted_walk,
+                              make_system)
 from .errors import DegreeMismatch, ParseError
-from .gk_dimension import hilbert_value
 from .lattice_algebra import Matrix
 from .scheme_model import _rational, _strict_int, p1_power_scheme
 
@@ -532,14 +532,14 @@ def hilbert_match(ring: OracleRing, sys: BimoduleSystem, upto: int) -> MatchRepo
     checked = 0
     skipped = 0
     mismatches = []
-    for n in itertools.product(range(1, upto + 1), repeat=ring.s):
+    for n, coords, _ in _twisted_walk(sys, [range(1, upto + 1)] * ring.s):
         deg = ring.graded_multidegree(n)
         if any(a < 0 for a in deg):
             skipped += 1
             continue
         checked += 1
         dim = section_space_dim(deg)
-        expected = hilbert_value(sys, n)
+        expected = sys.scheme.euler_at(coords)
         if dim != expected:
             mismatches.append((n, dim, expected))
     return MatchReport(checked, skipped, tuple(mismatches))

@@ -55,7 +55,9 @@ def reference_records(sys, bound):
     each functional summed as MultiPolys and searched on its own."""
     periods = quasi_unipotent_screen(sys).orders
     records = []
-    for residue, polys in branch_class_polys(sys, periods).items():
+    for residue, vectors in branch_class_polys(sys, periods).items():
+        polys = [MultiPoly(sys.s, {k: v[i] for k, v in vectors.items() if v[i]})
+                 for i in range(sys.scheme.rho)]
         for k, row in enumerate(sys.scheme.cone):
             h = MultiPoly.zero(sys.s)
             for coeff, poly in zip(row, polys):

@@ -38,6 +38,7 @@ from ncample.errors import (
     UnipotentRequired,
 )
 from ncample.lattice_algebra import Matrix
+from ncample.numeric_polynomials import MultiPoly
 from ncample.scheme_model import builtin_scheme, load_scheme
 
 
@@ -161,7 +162,9 @@ class TestSymbolicClass:
             branches = branch_class_polys(sys, periods)
             assert list(branches) == list(
                 itertools.product(*(range(r) for r in periods)))
-            for c, polys in branches.items():
+            for c, vectors in branches.items():
+                polys = [MultiPoly(sys.s, {k: v[i] for k, v in vectors.items() if v[i]})
+                         for i in range(sys.scheme.rho)]
                 for q in itertools.product(range(4), repeat=sys.s):
                     n = tuple(ci + ri * qi for ci, ri, qi in zip(c, periods, q))
                     want = class_at(sys, n).coords
