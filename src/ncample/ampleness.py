@@ -15,9 +15,10 @@ from operator import mul
 
 from .bimodule_system import BimoduleSystem, _twisted_walk, branch_class_polys
 from .errors import (ArityError, GeometricRealizabilityWarning,
-                     NotQuasiUnipotent)
+                     NotQuasiUnipotent, ParseError)
 from .lattice_algebra import Matrix, is_quasi_unipotent, nilpotency_degree
 from .numeric_polynomials import MultiPoly, eventually_positive
+from .scheme_model import _exact_int
 
 DEFAULT_SEARCH_BOUND = 16
 
@@ -192,6 +193,13 @@ class Verdict:
         return out
 
 
+def _checked_bound(search_bound) -> int:
+    """The search bound, an int >= 0; anything else raises ParseError."""
+    if _exact_int(search_bound, "search bound") < 0:
+        raise ParseError(f"search bound must be >= 0, got {search_bound}")
+    return search_bound
+
+
 _CONE_NOTE = "ampleness judged relative to the declared polyhedral cone"
 
 
@@ -213,6 +221,7 @@ def eventual_ampleness(sys: BimoduleSystem,
     scanned in lexicographic residue order and functionals in declaration
     order; the first falsified pair is reported.
     """
+    _checked_bound(search_bound)
     if screen is None:
         screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
@@ -276,6 +285,7 @@ def eventual_ampleness(sys: BimoduleSystem,
 def nc_ample_verdict(sys: BimoduleSystem,
                      search_bound: int = DEFAULT_SEARCH_BOUND) -> Verdict:
     """Full decision: quasi-unipotence screen, then eventual ampleness."""
+    _checked_bound(search_bound)
     screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
         return _verdict("QuasiUnipotentFail", sys, search_bound, screen,
@@ -288,6 +298,7 @@ def sigma_ample_verdict(sys: BimoduleSystem,
     """Single-factor variant: search for one power with an ample class."""
     if sys.s != 1:
         raise ArityError(f"sigma_ample_verdict needs one bimodule, got {sys.s}")
+    _checked_bound(search_bound)
     screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
         return _verdict("QuasiUnipotentFail", sys, search_bound, screen,

@@ -89,9 +89,9 @@ def _twisted_walk(sys: BimoduleSystem, ranges):
     class and multiplies the action by M_a, so only the first grade of each
     run goes through a geometric sum and a power, once per bundle.
     """
-    runs = [tuple(int(x) for x in r) for r in ranges]
-    if len(runs) != sys.s or any(x < 0 for run in runs for x in run):
-        raise ParseError(f"need {sys.s} runs of nonnegative grades, got {runs}")
+    runs = [tuple(r) for r in ranges]
+    if len(runs) != sys.s or any(type(x) is not int or x < 0 for run in runs for x in run):
+        raise ParseError(f"need {sys.s} runs of nonnegative integer grades, got {runs}")
     if not all(runs):
         return
     steps = [(bim.divisor.coords, bim.action) for bim in sys.bimodules]
@@ -201,8 +201,8 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
     are unimodular and commute, and the strided classes commute because
     either order of two of them is the twisted product at one grade.
     """
-    nv = tuple(int(x) for x in n)
-    if len(nv) != sys.s or any(x < 1 for x in nv):
+    nv = tuple(n)
+    if len(nv) != sys.s or any(type(x) is not int or x < 1 for x in nv):
         raise ParseError(f"strides must be {sys.s} positive integers, got {nv}")
     bims = []
     for bim, n_a in zip(sys.bimodules, nv):

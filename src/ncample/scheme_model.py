@@ -49,6 +49,14 @@ def _strict_int(value, what: str) -> int:
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
+def _exact_int(value, what: str) -> int:
+    """A library argument that must already be an int; bools, floats,
+    strings and anything else raise ParseError instead of being truncated."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _rational(value) -> int | Fraction:
     """The rational number a document entry spells, as Fraction(str(value))
     reads it: an int when int() reads the text, since that is the common

@@ -19,7 +19,7 @@ from .bimodule_system import (BimoduleSystem, _read_bimodules, _twisted_walk,
                               make_system)
 from .errors import DegreeMismatch, ParseError
 from .lattice_algebra import Matrix
-from .scheme_model import _rational, _strict_int, p1_power_scheme
+from .scheme_model import _exact_int, _rational, _strict_int, p1_power_scheme
 
 # A Moebius factor ((a, b), (c, d)) / den as the five integers
 # (a, b, c, d, den), with den > 0 and gcd(a, b, c, d, den) = 1, so equal
@@ -112,7 +112,7 @@ class FactorAutomorphism:
 
     @staticmethod
     def build(perm_1based, mobius_rows) -> "FactorAutomorphism":
-        perm = tuple(int(p) - 1 for p in perm_1based)
+        perm = tuple(_exact_int(p, "perm entry") - 1 for p in perm_1based)
         return FactorAutomorphism(perm, tuple(_mob(rows) for rows in mobius_rows))
 
     def compose(self, other: "FactorAutomorphism") -> "FactorAutomorphism":
@@ -161,7 +161,7 @@ class FactorAutomorphism:
 
 def monomial_basis(multidegree) -> tuple[tuple[int, ...], ...]:
     """All exponent keys (e1, f1, ..., ed, fd) with e_k + f_k = a_k."""
-    degs = tuple(int(a) for a in multidegree)
+    degs = tuple(_exact_int(a, "multidegree entry") for a in multidegree)
     if any(a < 0 for a in degs):
         return ()
     out = []
@@ -174,7 +174,7 @@ def monomial_basis(multidegree) -> tuple[tuple[int, ...], ...]:
 
 
 def section_space_dim(multidegree) -> int:
-    degs = tuple(int(a) for a in multidegree)
+    degs = tuple(_exact_int(a, "multidegree entry") for a in multidegree)
     if any(a < 0 for a in degs):
         return 0
     result = 1
@@ -198,7 +198,7 @@ class MultiSection:
     den: int
 
     def __init__(self, multidegree, terms):
-        multidegree = tuple(multidegree)
+        multidegree = tuple(_exact_int(a, "multidegree entry") for a in multidegree)
         d = len(multidegree)
         for key, c in terms.items():
             if len(key) != 2 * d:
@@ -245,8 +245,7 @@ class MultiSection:
 
     @staticmethod
     def monomial(multidegree, key, coeff=1) -> "MultiSection":
-        return MultiSection(tuple(int(a) for a in multidegree),
-                            {tuple(key): Fraction(coeff)})
+        return MultiSection(multidegree, {tuple(key): Fraction(coeff)})
 
     def __add__(self, other: "MultiSection") -> "MultiSection":
         if self.multidegree != other.multidegree:
@@ -349,8 +348,8 @@ class OracleRing:
     """Twisted multi-homogeneous section ring of a product of lines."""
 
     def __init__(self, d: int, pairs):
-        self.d = int(d)
-        self.pairs = tuple((tuple(int(a) for a in deg), sigma)
+        self.d = _exact_int(d, "d")
+        self.pairs = tuple((tuple(_exact_int(a, "degree entry") for a in deg), sigma)
                            for deg, sigma in pairs)
         for deg, sigma in self.pairs:
             if len(deg) != self.d or sigma.d != self.d:
@@ -374,7 +373,7 @@ class OracleRing:
 
     def twist_power(self, n) -> FactorAutomorphism:
         """sigma_1^{n_1} after ... after sigma_s^{n_s}, composed in order."""
-        key = tuple(int(x) for x in n)
+        key = tuple(_exact_int(x, "grade entry") for x in n)
         if key not in self._twist_cache:
             result = FactorAutomorphism.identity(self.d)
             for (_, sigma), n_a in zip(self.pairs, key):
@@ -391,8 +390,8 @@ class OracleRing:
         composes permutations the way FactorAutomorphism.compose does and
         moves a divisor the way lattice_matrix().apply does.
         """
-        nv = tuple(int(x) for x in n)
-        if len(nv) != self.s or any(x < 0 for x in nv):
+        nv = tuple(n)
+        if len(nv) != self.s or any(type(x) is not int or x < 0 for x in nv):
             raise ParseError(
                 f"grade {list(nv)} needs {self.s} nonnegative entries")
         total = [0] * self.d
@@ -405,7 +404,7 @@ class OracleRing:
         return tuple(total)
 
     def graded_piece(self, n) -> GradedPiece:
-        nv = tuple(int(x) for x in n)
+        nv = tuple(n)
         deg = self.graded_multidegree(nv)
         return GradedPiece(nv, deg, monomial_basis(deg))
 
@@ -459,9 +458,9 @@ def opposite_check(ring: OracleRing, max_grade_entry: int = 4,
     grade-n power of the original automorphisms; the check is
     tau(a . b) = tau(b) * tau(a) on random homogeneous pairs, exactly.
     """
-    if max_grade_entry < 0:
+    if _exact_int(max_grade_entry, "max grade entry") < 0:
         raise ParseError(f"max grade entry must be at least 0, got {max_grade_entry}")
-    if samples < 0:
+    if _exact_int(samples, "opposite samples") < 0:
         raise ParseError(f"opposite samples must be at least 0, got {samples}")
     dual = ring.dual_ring()
     rng = random.Random(seed)
@@ -527,7 +526,7 @@ def hilbert_match(ring: OracleRing, sys: BimoduleSystem, upto: int) -> MatchRepo
     Grades whose expanded multidegree has a negative entry are skipped: there
     the section count and the signed count may legitimately differ.
     """
-    if upto < 1:
+    if _exact_int(upto, "grade range") < 1:
         raise ParseError(f"grade range must be at least 1, got {upto}")
     checked = 0
     skipped = 0
@@ -555,7 +554,7 @@ def cross_validate(ring: OracleRing, sys: BimoduleSystem, *, grade_range: int,
     hexagon on `triple` unless it is None.  One seed drives both the
     triples and the opposite check.
     """
-    if samples < 0:
+    if _exact_int(samples, "samples") < 0:
         raise ParseError(f"samples must be at least 0, got {samples}")
     match = hilbert_match(ring, sys, grade_range)
     rng = random.Random(seed)

@@ -282,9 +282,12 @@ class TestConeSearch:
 
 _BAD_SCHEMES = """
 from fractions import Fraction
-from ncample.bimodule_system import (branch_class_polys, class_at, load_system,
-                                     make_system)
+from ncample.ampleness import (eventual_ampleness, nc_ample_verdict,
+                               sigma_ample_verdict)
+from ncample.bimodule_system import (branch_class_polys, class_at, combined_single,
+                                     load_system, make_system, veronese)
 from ncample.errors import ParseError
+from ncample.gk_dimension import gk, hilbert_value
 from ncample.lattice_algebra import (Matrix, UniPoly, cyclotomic, euler_phi,
                                      geometric_sum)
 from ncample.numeric_polynomials import MultiPoly, binom_int, compose
@@ -335,6 +338,20 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: class_at(line, (-1,)),
              lambda: branch_class_polys(line, (1, 1)),
              lambda: branch_class_polys(line, (0,)),
+             lambda: class_at(line, (1.5,)),
+             lambda: class_at(line, (True,)),
+             lambda: class_at(line, ("1",)),
+             lambda: combined_single(line, (2.5,)),
+             lambda: veronese(line, (2.9,)),
+             lambda: veronese(line, (True,)),
+             lambda: branch_class_polys(line, (1.5,)),
+             lambda: hilbert_value(line, (2.7,)),
+             lambda: nc_ample_verdict(line, 2.5),
+             lambda: nc_ample_verdict(line, True),
+             lambda: nc_ample_verdict(line, -1),
+             lambda: eventual_ampleness(line, 2.5),
+             lambda: sigma_ample_verdict(line, 2.5),
+             lambda: gk(line, 2.5),
              lambda: MultiPoly(0, {}),
              lambda: MultiPoly(1, {(1, 0): 1}),
              lambda: MultiPoly(1, {(-1,): 1}),
@@ -359,4 +376,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 48
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 62

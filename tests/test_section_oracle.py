@@ -569,10 +569,12 @@ class TestLoadOracle:
 
 
 _BAD_ARGUMENTS = """
+import random
 from ncample.errors import ParseError
 from ncample.section_oracle import (FactorAutomorphism, MultiSection, OracleRing,
                                     bergman_check, cross_validate, hilbert_match,
-                                    opposite_check, pullback)
+                                    monomial_basis, opposite_check, pullback,
+                                    section_space_dim)
 
 ident = FactorAutomorphism.identity(1)
 swap = FactorAutomorphism.build([2, 1], [[[1, 0], [0, 1]]] * 2)
@@ -604,7 +606,25 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
              lambda: cross_validate(pair_ring, pair_sys, grade_range=1, samples=-1,
                                     opposite_samples=0, seed=0, triple=None),
              lambda: cross_validate(pair_ring, pair_sys, grade_range=1, samples=0,
-                                    opposite_samples=-1, seed=0, triple=None)):
+                                    opposite_samples=-1, seed=0, triple=None),
+             lambda: OracleRing(2.7, [((1, 0), swap)]),
+             lambda: OracleRing(2, [((1.9, 0), swap)]),
+             lambda: OracleRing(2, [((True, 0), swap)]),
+             lambda: FactorAutomorphism.build([2.5, 1], [one, one]),
+             lambda: FactorAutomorphism.build(["2", 1], [one, one]),
+             lambda: swap_ring.graded_multidegree((1.5,)),
+             lambda: swap_ring.twist_power((2.5,)),
+             lambda: swap_ring.random_element((1.5,), random.Random(0)),
+             lambda: swap_ring.graded_piece((True,)),
+             lambda: monomial_basis((1.5,)),
+             lambda: section_space_dim((1.5, 2)),
+             lambda: MultiSection((1.5,), {}),
+             lambda: MultiSection.monomial((1.0,), (1, 0)),
+             lambda: hilbert_match(pair_ring, pair_sys, 2.5),
+             lambda: opposite_check(pair_ring, max_grade_entry=1.5),
+             lambda: opposite_check(pair_ring, samples=1.5),
+             lambda: cross_validate(pair_ring, pair_sys, grade_range=1, samples=1.5,
+                                    opposite_samples=0, seed=0, triple=None)):
     try:
         print(call())
     except ParseError:
@@ -614,4 +634,4 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
 
 def test_bad_arguments_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 21
+    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 38
