@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,18 @@ from hypothesis import strategies as st
 from corpus import (
     IDENT,
     SWAP,
+    ample_corpus,
     duality_corpus,
     golden_pair,
     golden_swap,
     golden_warning,
     unipotent_corpus,
 )
+from ncample import bimodule_system
+from ncample.ampleness import nc_ample_verdict
 from ncample.bimodule_system import (
     BimoduleSystem,
+    _twisted_walk,
     branch_class_polys,
     class_at,
     combined_single,
@@ -40,6 +45,13 @@ from ncample.errors import (
 from ncample.lattice_algebra import Matrix
 from ncample.numeric_polynomials import MultiPoly
 from ncample.scheme_model import builtin_scheme, load_scheme
+from ncample.section_oracle import hilbert_match, load_oracle
+
+
+def load_data(name: str) -> dict:
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", name),
+              encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestValidation:
@@ -106,6 +118,65 @@ class TestClassAt:
                     prefix = prefix * sys.bimodules[b].action ** n[b]
                 step = prefix * (sys.bimodules[s - 1].action ** n[s - 1])
                 assert delta == step.apply(sys.bimodules[s - 1].divisor.coords)
+
+
+def reference_walk(sys, ranges):
+    """(n, class, action) for every n of the box, each summed in a plain
+    loop: sum_a (prod_(b<a) M_b^(n_b)) (sum_(j<n_a) M_a^j d_a)."""
+    rho = sys.scheme.rho
+    out = []
+    for n in itertools.product(*ranges):
+        total = (0,) * rho
+        prefix = Matrix.identity(rho)
+        for bim, n_a in zip(sys.bimodules, n):
+            power = Matrix.identity(rho)
+            for _ in range(n_a):
+                term = prefix.apply(power.apply(bim.divisor.coords))
+                total = tuple(t + x for t, x in zip(total, term))
+                power = power * bim.action
+            prefix = prefix * power
+        out.append((n, total, prefix))
+    return out
+
+
+CORPUS = duality_corpus() + ample_corpus() + unipotent_corpus()
+
+
+class TestTwistedWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_plain_loop(self, data):
+        sys = data.draw(st.sampled_from(CORPUS))
+        ranges = [range(start, start + length) for start, length in data.draw(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                     min_size=sys.s, max_size=sys.s))]
+        assert list(_twisted_walk(sys, ranges)) == reference_walk(sys, ranges)
+
+    @staticmethod
+    def count_geometric_sums(monkeypatch):
+        calls = []
+        real = bimodule_system.geometric_sum
+        monkeypatch.setattr(bimodule_system, "geometric_sum",
+                            lambda m, n: calls.append(n) or real(m, n))
+        return calls
+
+    def test_hilbert_box_sums_once_per_bundle(self, monkeypatch):
+        doc = load_data("trivial-triple.json")
+        ring, sys = load_oracle(doc), load_system(doc)
+        calls = self.count_geometric_sums(monkeypatch)
+        assert hilbert_match(ring, sys, 4).ok
+        # one walk over [1, 4]^3, not 64 walks of three bundles each
+        assert len(calls) <= 21
+
+    def test_residue_scan_sums_once_per_bundle(self, monkeypatch):
+        swap = load_system(load_data("swap-ring.json"))
+        cube = product(product(swap, swap), swap)
+        calls = self.count_geometric_sums(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert nc_ample_verdict(cube).kind == "NCAmple"
+        # three strides plus one walk over the 8 residues, not 8 walks
+        assert len(calls) <= 10
 
 
 class TestSymbolicClass:
