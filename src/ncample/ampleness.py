@@ -193,11 +193,10 @@ class Verdict:
         return out
 
 
-def _checked_bound(search_bound) -> int:
-    """The search bound, an int >= 0; anything else raises ParseError."""
+def _check_bound(search_bound) -> None:
+    """Raise ParseError unless the search bound is an int >= 0."""
     if _exact_int(search_bound, "search bound") < 0:
         raise ParseError(f"search bound must be >= 0, got {search_bound}")
-    return search_bound
 
 
 _CONE_NOTE = "ampleness judged relative to the declared polyhedral cone"
@@ -221,7 +220,7 @@ def eventual_ampleness(sys: BimoduleSystem,
     scanned in lexicographic residue order and functionals in declaration
     order; the first falsified pair is reported.
     """
-    _checked_bound(search_bound)
+    _check_bound(search_bound)
     if screen is None:
         screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
@@ -285,7 +284,7 @@ def eventual_ampleness(sys: BimoduleSystem,
 def nc_ample_verdict(sys: BimoduleSystem,
                      search_bound: int = DEFAULT_SEARCH_BOUND) -> Verdict:
     """Full decision: quasi-unipotence screen, then eventual ampleness."""
-    _checked_bound(search_bound)
+    _check_bound(search_bound)
     screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
         return _verdict("QuasiUnipotentFail", sys, search_bound, screen,
@@ -298,7 +297,7 @@ def sigma_ample_verdict(sys: BimoduleSystem,
     """Single-factor variant: search for one power with an ample class."""
     if sys.s != 1:
         raise ArityError(f"sigma_ample_verdict needs one bimodule, got {sys.s}")
-    _checked_bound(search_bound)
+    _check_bound(search_bound)
     screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
         return _verdict("QuasiUnipotentFail", sys, search_bound, screen,
