@@ -472,8 +472,9 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
     certifies p, No certificates come from rays with entries in
     [1, search_bound] whose restriction has a negative leading coefficient.
     """
-    if search_bound < 0:
-        raise ParseError(f"search bound must be >= 0, got {search_bound}")
+    # scheme_model's _exact_int would be a circular import here
+    if type(search_bound) is not int or search_bound < 0:
+        raise ParseError(f"search bound must be an integer >= 0, got {search_bound!r}")
     s = p.nvars
     if p.is_zero():
         return PositivityResult("unknown", bound=search_bound)

@@ -8,6 +8,7 @@ so it shares no formulas with it beyond the lattice shadow it exports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -15,11 +16,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .bimodule_system import (BimoduleSystem, _read_bimodules, _twisted_walk,
-                              make_system)
+from .bimodule_system import (Bimodule, BimoduleSystem, _read_bimodules,
+                              _twisted_walk, make_system)
 from .errors import DegreeMismatch, ParseError
 from .lattice_algebra import Matrix
-from .scheme_model import _exact_int, _rational, _strict_int, p1_power_scheme
+from .scheme_model import (DivisorClass, _exact_int, _rational, _strict_int,
+                           p1_power_scheme)
 
 # A Moebius factor ((a, b), (c, d)) / den as the five integers
 # (a, b, c, d, den), with den > 0 and gcd(a, b, c, d, den) = 1, so equal
@@ -183,23 +185,38 @@ def section_space_dim(multidegree) -> int:
     return result
 
 
+def _place_values(multidegree: tuple[int, ...]) -> tuple[int, ...]:
+    """Mixed-radix place values of the packed code of a monomial: the
+    x-exponent e_k of factor k counts prod_{j > k} (a_j + 1), so the codes
+    of a section space are 0..dim - 1 in monomial_basis order."""
+    values = [1] * len(multidegree)
+    for k in range(len(multidegree) - 1, 0, -1):
+        values[k - 1] = values[k] * (multidegree[k] + 1)
+    return tuple(values)
+
+
 @dataclass(frozen=True, init=False)
 class MultiSection:
     """Element of the section space of one multidegree, exact coefficients.
 
     The coefficients are integer numerators over one positive denominator,
     in lowest terms (gcd of den and every numerator is 1, no zero
-    numerator), so equal sections have equal fields.  terms gives them as
-    Fractions.
+    numerator), so equal sections have equal fields.  They are keyed by
+    the packed code of each monomial, its x-exponents in the mixed radix
+    (a_k + 1) of the multidegree, so every code is below the dimension of
+    the section space.  numerators and terms give them by exponent key
+    (e1, f1, ..., ed, fd), as ints and as Fractions.
     """
 
     multidegree: tuple[int, ...]
-    numerators: dict[tuple[int, ...], int]
+    codes: dict[int, int]
     den: int
 
     def __init__(self, multidegree, terms):
         multidegree = tuple(_exact_int(a, "multidegree entry") for a in multidegree)
         d = len(multidegree)
+        places = _place_values(multidegree)
+        codes = {}
         for key, c in terms.items():
             if len(key) != 2 * d:
                 raise ParseError(f"exponent key {key} does not have {2 * d} entries")
@@ -208,36 +225,50 @@ class MultiSection:
                                  f"not a rational number")
             if not c:
                 raise ParseError(f"exponent key {key} has a zero coefficient")
+            code = 0
             for k in range(d):
                 e, f = key[2 * k], key[2 * k + 1]
                 if e < 0 or f < 0 or e + f != multidegree[k]:
                     raise ParseError(f"exponent key {key} is not a monomial of "
                                      f"multidegree {multidegree}")
+                code += e * places[k]
+            codes[code] = c
         # over the lcm of reduced denominators, the numerators share no
         # factor with it
-        den = lcm(*(c.denominator for c in terms.values()))
+        den = lcm(*(c.denominator for c in codes.values()))
         object.__setattr__(self, "multidegree", multidegree)
-        object.__setattr__(self, "numerators", {
-            k: c.numerator * (den // c.denominator) for k, c in terms.items()})
+        object.__setattr__(self, "codes", {
+            k: c.numerator * (den // c.denominator) for k, c in codes.items()})
         object.__setattr__(self, "den", den)
 
     @staticmethod
-    def _trusted(multidegree: tuple[int, ...], numerators: dict[tuple[int, ...], int],
+    def _trusted(multidegree: tuple[int, ...], codes: dict[int, int],
                  den: int) -> "MultiSection":
-        """The section numerators[key] / den, for keys already known to be
+        """The section codes[code] / den, for codes already known to be
         monomials of the multidegree and den > 0, such as a product or
         pullback of valid sections; it drops zeros and reduces, and skips
         the key check."""
-        numerators = {k: v for k, v in numerators.items() if v}
-        g = gcd(den, *numerators.values())
+        codes = {k: v for k, v in codes.items() if v}
+        g = gcd(den, *codes.values())
         if g != 1:
-            numerators = {k: v // g for k, v in numerators.items()}
+            codes = {k: v // g for k, v in codes.items()}
             den //= g
         section = object.__new__(MultiSection)
         object.__setattr__(section, "multidegree", multidegree)
-        object.__setattr__(section, "numerators", numerators)
+        object.__setattr__(section, "codes", codes)
         object.__setattr__(section, "den", den)
         return section
+
+    @property
+    def numerators(self) -> dict[tuple[int, ...], int]:
+        out = {}
+        for code, v in self.codes.items():
+            key = []
+            for a in reversed(self.multidegree):
+                code, e = divmod(code, a + 1)
+                key += (a - e, e)
+            out[tuple(reversed(key))] = v
+        return out
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -253,18 +284,36 @@ class MultiSection:
                              f"{self.multidegree} and {other.multidegree}")
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
-        out = {k: v * fa for k, v in self.numerators.items()}
-        for k, v in other.numerators.items():
+        out = {k: v * fa for k, v in self.codes.items()}
+        for k, v in other.codes.items():
             out[k] = out.get(k, 0) + v * fb
         return MultiSection._trusted(self.multidegree, out, den)
 
+    def _recoded(self, multidegree: tuple[int, ...]):
+        """(code, numerator) pairs with the codes read in the radix of
+        multidegree, which is entrywise at least this section's."""
+        if multidegree[1:] == self.multidegree[1:]:
+            # the place values ignore a_1
+            return self.codes.items()
+        digits = tuple(zip(reversed(self.multidegree), reversed(_place_values(multidegree))))
+        out = []
+        for code, v in self.codes.items():
+            new = 0
+            for a, place in digits:
+                code, e = divmod(code, a + 1)
+                new += e * place
+            out.append((new, v))
+        return out
+
     def __mul__(self, other: "MultiSection") -> "MultiSection":
-        deg = tuple(a + b for a, b in zip(self.multidegree, other.multidegree))
-        out: dict[tuple[int, ...], int] = {}
-        for ka, ca in self.numerators.items():
-            for kb, cb in other.numerators.items():
-                key = tuple(map(add, ka, kb))
-                out[key] = out.get(key, 0) + ca * cb
+        """x-exponents add, and so do their codes in the product's radix."""
+        deg = tuple(map(add, self.multidegree, other.multidegree))
+        right = other._recoded(deg)
+        out: dict[int, int] = {}
+        get = out.get
+        for ca, va in self._recoded(deg):
+            for cb, vb in right:
+                out[ca + cb] = get(ca + cb, 0) + va * vb
         return MultiSection._trusted(deg, out, self.den * other.den)
 
 
@@ -276,10 +325,11 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _factor_images(g: Mob, a: int) -> list[list[tuple[tuple[int, int], int]]]:
-    """For e = 0..a, den^a x^e y^(a-e) pulled back along g: the terms
-    ((i, a - i), coefficient of x^i y^(a-i)) of the integer form
-    (alpha x + beta y)^e (gamma x + delta y)^(a-e)."""
+@functools.lru_cache(maxsize=256)
+def _factor_images(g: Mob, a: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For e = 0..a, den^a x^e y^(a-e) pulled back along g: the pairs
+    (i, coefficient of x^i y^(a-i)) of the integer form
+    (alpha x + beta y)^e (gamma x + delta y)^(a-e), nonzero ones only."""
     alpha, beta, gamma, delta, _ = g
     # coefficient lists indexed by the exponent of x
     x_powers = [[1]]
@@ -287,44 +337,50 @@ def _factor_images(g: Mob, a: int) -> list[list[tuple[tuple[int, int], int]]]:
     for _ in range(a):
         x_powers.append(_poly_mul(x_powers[-1], [beta, alpha]))
         y_powers.append(_poly_mul(y_powers[-1], [delta, gamma]))
-    images = []
-    for e in range(a + 1):
-        coeffs = _poly_mul(x_powers[e], y_powers[a - e])
-        images.append([((i, a - i), c) for i, c in enumerate(coeffs) if c])
-    return images
+    return tuple(tuple((i, c) for i, c in enumerate(_poly_mul(x_powers[e], y_powers[a - e]))
+                       if c)
+                 for e in range(a + 1))
 
 
 def pullback(sigma: FactorAutomorphism, section: MultiSection) -> MultiSection:
     """Substitute: the factor-k variables become the chosen Moebius forms in
     the variables of factor perm[k].
 
-    Each factor's binomial images are expanded once, in integers, and every
-    term maps to the product of its factors' images; the denominators of
-    the maps and of the section are divided out once, by the reduction of
-    the result.
+    Each factor's binomial images come from the _factor_images cache, with
+    their x-exponents scaled to the place value of the output factor they
+    land on, and every term maps to the product of its factors' images,
+    whose codes add; the denominators of the maps and of the section are
+    divided out once, by the reduction of the result.
     """
     d = sigma.d
-    if len(section.multidegree) != d:
-        raise ParseError(f"cannot pull a section of {len(section.multidegree)} "
+    deg = section.multidegree
+    if len(deg) != d:
+        raise ParseError(f"cannot pull a section of {len(deg)} "
                          f"factors back along a map of {d}")
-    source = [0] * d
+    new_deg = [0] * d
     for k, j in enumerate(sigma.perm):
-        source[j] = k
-    new_deg = tuple(section.multidegree[k] for k in source)
-    # output factor j carries the images of source factor k = source[j]
-    images = [_factor_images(sigma.mobius[k], section.multidegree[k]) for k in source]
-    den = 1
-    for k in range(d):
-        den *= sigma.mobius[k][4] ** section.multidegree[k]
-    out: dict[tuple[int, ...], int] = {}
-    for key, coeff in section.numerators.items():
-        partial = [((), coeff)]
-        for j, k in enumerate(source):
-            partial = [(head + tail, c * v) for head, c in partial
-                       for tail, v in images[j][key[2 * k]]]
-        for image_key, c in partial:
-            out[image_key] = out.get(image_key, 0) + c
-    return MultiSection._trusted(new_deg, out, den * section.den)
+        new_deg[j] = deg[k]
+    new_deg = tuple(new_deg)
+    places = _place_values(new_deg)
+    # source factor k lands on output factor perm[k]; codes are read from
+    # their last digit
+    factors = []
+    den = section.den
+    for k in reversed(range(d)):
+        g, place = sigma.mobius[k], places[sigma.perm[k]]
+        factors.append((deg[k] + 1, [[(i * place, c) for i, c in image]
+                                     for image in _factor_images(g, deg[k])]))
+        den *= g[4] ** deg[k]
+    out: dict[int, int] = {}
+    get = out.get
+    for code, coeff in section.codes.items():
+        partial = [(0, coeff)]
+        for radix, images in factors:
+            code, e = divmod(code, radix)
+            partial = [(h + t, c * v) for h, c in partial for t, v in images[e]]
+        for c, v in partial:
+            out[c] = get(c, 0) + v
+    return MultiSection._trusted(new_deg, out, den)
 
 
 @dataclass(frozen=True)
@@ -348,21 +404,38 @@ class OracleRing:
     """Twisted multi-homogeneous section ring of a product of lines."""
 
     def __init__(self, d: int, pairs):
-        self.d = _exact_int(d, "d")
-        self.pairs = tuple((tuple(_exact_int(a, "degree entry") for a in deg), sigma)
-                           for deg, sigma in pairs)
-        for deg, sigma in self.pairs:
-            if len(deg) != self.d or sigma.d != self.d:
+        d = _exact_int(d, "d")
+        pairs = tuple((tuple(_exact_int(a, "degree entry") for a in deg), sigma)
+                      for deg, sigma in pairs)
+        for deg, sigma in pairs:
+            if len(deg) != d or sigma.d != d:
                 raise ParseError("bundle or automorphism does not match d")
-        for i in range(len(self.pairs)):
-            for j in range(i + 1, len(self.pairs)):
-                if not self.pairs[i][1].commutes_projectively(self.pairs[j][1]):
+        for i in range(len(pairs)):
+            for j in range(i + 1, len(pairs)):
+                if not pairs[i][1].commutes_projectively(pairs[j][1]):
                     raise ParseError(
                         f"automorphisms {i} and {j} do not commute projectively")
-        self._shadow = make_system(
-            p1_power_scheme(self.d),
-            [(deg, sigma.lattice_matrix()) for deg, sigma in self.pairs])
-        self._twist_cache: dict[tuple[int, ...], FactorAutomorphism] = {}
+        self._adopt(d, pairs, make_system(
+            p1_power_scheme(d), [(deg, sigma.lattice_matrix()) for deg, sigma in pairs]))
+
+    def _adopt(self, d: int, pairs, shadow: BimoduleSystem) -> None:
+        self.d = d
+        self.pairs = pairs
+        self._shadow = shadow
+        zero = (0,) * len(pairs)
+        # grade -> accumulated twist, and grade -> (multidegree, permutation
+        # part of that twist); every other grade is walked from these
+        self._twists = {zero: FactorAutomorphism.identity(d)}
+        self._degrees = {zero: ((0,) * d, tuple(range(d)))}
+
+    @staticmethod
+    def _trusted(d: int, pairs, shadow: BimoduleSystem) -> "OracleRing":
+        """A ring from parts already known to be valid together, such as
+        those derived from a valid ring; it skips the commutation checks
+        and the shadow's validation."""
+        ring = object.__new__(OracleRing)
+        ring._adopt(d, pairs, shadow)
+        return ring
 
     @property
     def s(self) -> int:
@@ -371,15 +444,45 @@ class OracleRing:
     def numerical_shadow(self) -> BimoduleSystem:
         return self._shadow
 
+    def _grade(self, n) -> tuple[int, ...]:
+        nv = tuple(n)
+        if len(nv) != self.s or any(type(x) is not int or x < 0 for x in nv):
+            raise ParseError(
+                f"grade {list(nv)} needs {self.s} nonnegative entries")
+        return nv
+
+    @staticmethod
+    def _walk(cache: dict, n: tuple[int, ...], step):
+        """cache[n] for a valid grade n.  A missing grade is step(value,
+        a) from the grade with its last nonzero entry, a, lowered by one:
+        the grades after a are 0, so its product is that grade's product
+        with one more copy of bundle a at the end."""
+        path = []
+        while n not in cache:
+            a = len(n) - 1
+            while not n[a]:
+                a -= 1
+            path.append((n, a))
+            n = n[:a] + (n[a] - 1,) + n[a + 1:]
+        value = cache[n]
+        for n, a in reversed(path):
+            value = cache[n] = step(value, a)
+        return value
+
     def twist_power(self, n) -> FactorAutomorphism:
         """sigma_1^{n_1} after ... after sigma_s^{n_s}, composed in order."""
-        key = tuple(_exact_int(x, "grade entry") for x in n)
-        if key not in self._twist_cache:
-            result = FactorAutomorphism.identity(self.d)
-            for (_, sigma), n_a in zip(self.pairs, key):
-                result = result.compose(sigma.power(n_a))
-            self._twist_cache[key] = result
-        return self._twist_cache[key]
+        return self._walk(self._twists, self._grade(n),
+                          lambda twist, a: twist.compose(self.pairs[a][1]))
+
+    def _degree_step(self, walked, a: int):
+        """One more copy of bundle a: its divisor moved by the permutation
+        accumulated so far, which then takes on sigma_a's."""
+        total, perm = walked
+        moved = list(total)
+        for k, x in enumerate(self.pairs[a][0]):
+            moved[perm[k]] += x
+        sigma = self.pairs[a][1].perm
+        return tuple(moved), tuple(sigma[p] for p in perm)
 
     def graded_multidegree(self, n) -> tuple[int, ...]:
         """Multidegree of the expanded product bundle at grade n.
@@ -390,18 +493,7 @@ class OracleRing:
         composes permutations the way FactorAutomorphism.compose does and
         moves a divisor the way lattice_matrix().apply does.
         """
-        nv = tuple(n)
-        if len(nv) != self.s or any(type(x) is not int or x < 0 for x in nv):
-            raise ParseError(
-                f"grade {list(nv)} needs {self.s} nonnegative entries")
-        total = [0] * self.d
-        perm = tuple(range(self.d))
-        for (deg, sigma), n_a in zip(self.pairs, nv):
-            for _ in range(n_a):
-                for k, x in enumerate(deg):
-                    total[perm[k]] += x
-                perm = tuple(sigma.perm[p] for p in perm)
-        return tuple(total)
+        return self._walk(self._degrees, self._grade(n), self._degree_step)[0]
 
     def graded_piece(self, n) -> GradedPiece:
         nv = tuple(n)
@@ -416,14 +508,15 @@ class OracleRing:
 
     def random_element(self, n, rng: random.Random) -> RingElement:
         """Coefficients c / q with c uniform in [-3, 3] and q 2 with
-        probability 1/4, else 1, written over the denominator 2."""
-        piece = self.graded_piece(n)
-        numerators = {}
-        for key in piece.basis:
+        probability 1/4, else 1, written over the denominator 2, drawn in
+        monomial_basis order."""
+        grade = tuple(n)
+        deg = self.graded_multidegree(grade)
+        codes = {}
+        for code in range(section_space_dim(deg)):
             c = rng.randint(-3, 3)
-            numerators[key] = c * (2 // rng.choice((1, 1, 1, 2)))
-        return RingElement(piece.grade,
-                           MultiSection._trusted(piece.multidegree, numerators, 2))
+            codes[code] = c * (2 // rng.choice((1, 1, 1, 2)))
+        return RingElement(grade, MultiSection._trusted(deg, codes, 2))
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         """a * (twist of b by the accumulated automorphism of a's grade)."""
@@ -441,13 +534,23 @@ class OracleRing:
         return RingElement(grade, section)
 
     def dual_ring(self) -> "OracleRing":
-        """Same sheaves transported through the inverse automorphisms."""
+        """Same sheaves transported through the inverse automorphisms.
+
+        It needs no re-check: inverses of maps that commute projectively
+        commute projectively, and multiplying d_i + M_i d_j = d_j + M_j d_i
+        by M_i^-1 M_j^-1 gives the same identity for the transported
+        classes M_i^-1 d_i and actions M_i^-1.
+        """
         pairs = []
+        bims = []
         for deg, sigma in self.pairs:
             inv = sigma.inverse()
-            new_deg = inv.lattice_matrix().apply(deg)
-            pairs.append((tuple(new_deg), inv))
-        return OracleRing(self.d, pairs)
+            action = inv.lattice_matrix()
+            new_deg = tuple(action.apply(deg))
+            pairs.append((new_deg, inv))
+            bims.append(Bimodule(DivisorClass(new_deg), action))
+        return OracleRing._trusted(self.d, tuple(pairs), BimoduleSystem._trusted(
+            self._shadow.scheme, tuple(bims)))
 
 
 def opposite_check(ring: OracleRing, max_grade_entry: int = 4,

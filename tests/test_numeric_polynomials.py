@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ncample.ampleness import nc_ample_verdict
 from ncample.bimodule_system import load_system, product, symbolic_class, veronese
 from ncample import numeric_polynomials
-from ncample.errors import NotIntegerValued
+from ncample.errors import NotIntegerValued, ParseError
 from ncample.numeric_polynomials import (
     MultiPoly,
     _restrict_to_ray,
@@ -505,6 +505,17 @@ class TestEventuallyPositive:
         assert res.kind == "unknown" and res.bound == 4
         res = eventually_positive(q, 8)
         assert res.is_no and res.direction == (6, 1)
+
+    @pytest.mark.parametrize("poly, bound", [
+        # -n^2 reaches the ray search, n - 1 is certified before the bound
+        # is read, and a bool is an int to isinstance
+        ({(2,): -1}, 2.5),
+        ({(1,): 1, (0,): -1}, 2.5),
+        ({(1,): 1, (0,): -1}, True),
+    ])
+    def test_non_int_bound_rejected(self, poly, bound):
+        with pytest.raises(ParseError):
+            eventually_positive(MultiPoly.from_monomials(1, poly), bound)
 
 
 def least_shift_by_scan(p, limit):

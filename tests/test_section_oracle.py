@@ -243,6 +243,33 @@ class TestRingStructure:
                 assert ring.graded_multidegree(n) == \
                     mobius_walk_multidegree(ring, n), (make.__name__, n)
 
+    def test_multiply_walks_each_grade_once(self, monkeypatch):
+        real_compose = FactorAutomorphism.compose
+        real_step = OracleRing._degree_step
+        images = section_oracle._factor_images
+        for make in ALL_RINGS + (cycle_ring, scaled_ring):
+            # a fresh ring, counted after its commutation checks compose
+            ring = make()
+            composes, steps, requested = [], [], []
+            monkeypatch.setattr(FactorAutomorphism, "compose",
+                                lambda f, g: composes.append(f) or real_compose(f, g))
+            monkeypatch.setattr(OracleRing, "_degree_step",
+                                lambda r, walked, a: steps.append(a) or real_step(r, walked, a))
+            monkeypatch.setattr(section_oracle, "_factor_images",
+                                lambda g, a: requested.append((g, a)) or images(g, a))
+            images.cache_clear()
+            rng = random.Random(4)
+            grades = list(itertools.product(range(3), repeat=ring.s))
+            for n, m in itertools.product(grades, repeat=2):
+                ring.multiply(ring.random_element(n, rng), ring.random_element(m, rng))
+            # one compose per nonzero left grade, one multidegree step per
+            # nonzero grade of [0, 4]^s, where the products land, and one
+            # expansion per (map, degree)
+            assert len(composes) <= len(grades) - 1, make.__name__
+            assert len(steps) <= 5 ** ring.s - 1, make.__name__
+            assert images.cache_info().misses == len(set(requested)), make.__name__
+            monkeypatch.undo()
+
     def test_noncommuting_autos_rejected(self):
         rot = FactorAutomorphism.build([1], [[[0, -1], [1, 0]]])
         par = FactorAutomorphism.build([1], [[[1, 1], [0, 1]]])
@@ -270,9 +297,14 @@ class TestCrossValidation:
     def test_dual_ring_shadow(self):
         for make in ALL_RINGS:
             ring = make()
-            lhs = system_to_document(ring.dual_ring().numerical_shadow())
+            dual = ring.dual_ring()
+            lhs = system_to_document(dual.numerical_shadow())
             rhs = system_to_document(numeric_dual(ring.numerical_shadow()))
             assert lhs["bimodules"] == rhs["bimodules"]
+            # dual_ring skips validation; the checked constructor agrees
+            checked = OracleRing(dual.d, dual.pairs)
+            assert (checked.pairs, checked.numerical_shadow()) == \
+                (dual.pairs, dual.numerical_shadow())
 
 
 # The rational algebra the integer kernels replaced, kept as their
@@ -325,6 +357,13 @@ def fraction_section_mul(a, b):
             elif key in out:
                 del out[key]
     return tuple(x + y for x, y in zip(deg_a, deg_b)), out
+
+
+def fraction_section_add(a, terms_b):
+    deg, out = a[0], dict(a[1])
+    for key, c in terms_b.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return deg, {k: c for k, c in out.items() if c}
 
 
 def fraction_pullback(f, section):
@@ -426,6 +465,31 @@ class TestAgainstFractionAlgebra:
             prod = sec * other
             assert (prod.multidegree, prod.terms) == \
                 fraction_section_mul(ref_sec, (other.multidegree, other.terms))
+        # multidegrees with zero entries, operands of unequal degree, sums,
+        # and == between a section built from its terms and the same
+        # section reached by a product or a pullback
+        rng = random.Random(23)
+        for _ in range(60):
+            d = rng.randint(1, 3)
+            f, ref_f = random_map(rng, d)
+            sec = random_section(rng, [rng.choice((0, 0, 1, 3)) for _ in range(d)])
+            summand = random_section(rng, sec.multidegree)
+            other = random_section(rng, [rng.choice((0, 1, 2)) for _ in range(d)])
+            ref_sec = (sec.multidegree, sec.terms)
+            ref_other = (other.multidegree, other.terms)
+            total = sec + summand
+            assert (total.multidegree, total.terms) == \
+                fraction_section_add(ref_sec, summand.terms)
+            img = pullback(f, other)
+            want_img = fraction_pullback(ref_f, ref_other)
+            for got, want in ((sec * other, fraction_section_mul(ref_sec, ref_other)),
+                              (other * sec, fraction_section_mul(ref_other, ref_sec)),
+                              (img, want_img),
+                              (total * img, fraction_section_mul(
+                                  fraction_section_add(ref_sec, summand.terms), want_img))):
+                assert (got.multidegree, got.terms) == want
+                assert MultiSection(*want) == got
+                assert MultiSection(got.multidegree, got.terms) == got
 
     def test_inverse_is_exact(self):
         # the dual ring needs the inverse itself: diag(2, 1) and its
@@ -614,6 +678,8 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
              lambda: FactorAutomorphism.build(["2", 1], [one, one]),
              lambda: swap_ring.graded_multidegree((1.5,)),
              lambda: swap_ring.twist_power((2.5,)),
+             lambda: swap_ring.twist_power((1, 5)),
+             lambda: swap_ring.twist_power((-1,)),
              lambda: swap_ring.random_element((1.5,), random.Random(0)),
              lambda: swap_ring.graded_piece((True,)),
              lambda: monomial_basis((1.5,)),
@@ -634,4 +700,4 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
 
 def test_bad_arguments_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 38
+    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 40
