@@ -220,7 +220,7 @@ class MultiSection:
         for key, c in terms.items():
             if len(key) != 2 * d:
                 raise ParseError(f"exponent key {key} does not have {2 * d} entries")
-            if not isinstance(c, (int, Fraction)):
+            if type(c) is not int and not isinstance(c, Fraction):
                 raise ParseError(f"exponent key {key} has coefficient {c!r}, "
                                  f"not a rational number")
             if not c:
@@ -228,7 +228,9 @@ class MultiSection:
             code = 0
             for k in range(d):
                 e, f = key[2 * k], key[2 * k + 1]
-                if e < 0 or f < 0 or e + f != multidegree[k]:
+                # the exponents are packed into an int code
+                if (type(e) is not int or type(f) is not int
+                        or e < 0 or f < 0 or e + f != multidegree[k]):
                     raise ParseError(f"exponent key {key} is not a monomial of "
                                      f"multidegree {multidegree}")
                 code += e * places[k]

@@ -664,6 +664,9 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
              lambda: pullback(FactorAutomorphism.identity(2),
                               MultiSection.monomial((1,), (1, 0))),
              lambda: MultiSection((1,), {(1, 0): 0.5}),
+             lambda: MultiSection((1,), {(1.0, 0): 1}),
+             lambda: MultiSection((1,), {(True, False): 1}),
+             lambda: MultiSection((1,), {(1, 0): True}),
              lambda: opposite_check(pair_ring, max_grade_entry=-1),
              lambda: opposite_check(pair_ring, samples=-1),
              lambda: hilbert_match(pair_ring, pair_sys, 0),
@@ -700,4 +703,4 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
 
 def test_bad_arguments_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 40
+    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 43
