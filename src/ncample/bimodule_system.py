@@ -48,12 +48,7 @@ class BimoduleSystem:
                 mj = self.bimodules[j].action
                 if mi * mj != mj * mi:
                     raise MatrixCommutationFail(i, j)
-                di = self.bimodules[i].divisor.coords
-                dj = self.bimodules[j].divisor.coords
-                left = tuple(a + b for a, b in zip(di, mi.apply(dj)))
-                right = tuple(a + b for a, b in zip(dj, mj.apply(di)))
-                if left != right:
-                    raise ClassCommutationFail(i, j)
+                _check_classes_commute(self.bimodules, i, j)
 
     @staticmethod
     def _trusted(scheme: NumericalScheme, bimodules: tuple[Bimodule, ...]) -> "BimoduleSystem":
@@ -68,6 +63,14 @@ class BimoduleSystem:
     @property
     def s(self) -> int:
         return len(self.bimodules)
+
+
+def _check_classes_commute(bimodules, i: int, j: int) -> None:
+    """Raise ClassCommutationFail(i, j) unless d_i + M_i d_j == d_j + M_j d_i."""
+    di, dj = bimodules[i].divisor.coords, bimodules[j].divisor.coords
+    left = tuple(map(add, di, bimodules[i].action.apply(dj)))
+    if left != tuple(map(add, dj, bimodules[j].action.apply(di))):
+        raise ClassCommutationFail(i, j)
 
 
 def make_system(scheme, pairs, stars=None) -> BimoduleSystem:

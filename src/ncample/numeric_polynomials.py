@@ -66,9 +66,12 @@ def _change_basis(terms: dict[Exponents, int], rows) -> dict[Exponents, int]:
 
     On axis j the basis element of index e becomes
     sum_k rows[j][e][k] * (new basis element of index k); coefficients
-    that cancel are dropped.
+    that cancel are dropped.  An axis of degree <= 1 is skipped: both
+    changes of basis here fix 1 and x.
     """
     for j, row in enumerate(rows):
+        if len(row) <= 2:
+            continue
         out: dict[Exponents, int] = {}
         for key, c in terms.items():
             head, tail = key[:j], key[j + 1:]
@@ -133,13 +136,13 @@ class MultiPoly:
         integer points, naming the first binomial exponents in sorted order
         whose coefficient is not an integer.
         """
-        rational: dict[Exponents, Fraction] = {}
+        rational: dict[Exponents, int | Fraction] = {}
         for expts, coeff in dict(monomials).items():
             _expect_len("monomial exponent count", len(expts), nvars)
             if any(type(e) is not int or e < 0 for e in expts):
                 raise ParseError(f"monomial exponents must be integers >= 0, "
                                  f"got {list(expts)}")
-            q = Fraction(coeff)
+            q = coeff if type(coeff) is int else Fraction(coeff)
             if q:
                 rational[tuple(expts)] = q
         # clear the denominators, map x^e to its binomial row, divide back

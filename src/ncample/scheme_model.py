@@ -150,10 +150,16 @@ def _find_interior_point(rows, rho):
     """The first point of itertools.product(range(-R, R + 1), repeat=rho)
     with every row strictly positive, for the least R that has one.
 
-    Raises EmptyCone, with a Gordan certificate, when no real point has."""
+    Raises EmptyCone, with a Gordan certificate, when no real point has.
+    The unit box is searched before the projection is built, with the same
+    first point: the projected rows follow from the cone's, so they only
+    prune."""
+    point = _first_in_box(rows, [()] * rho, 1)
+    if point is not None:
+        return point
     bounding = _project(rows, rho)
     # a nonempty open cone holds integer points, so the walk ends
-    for radius in itertools.count(1):
+    for radius in itertools.count(2):
         point = _first_in_box(rows, bounding, radius)
         if point is not None:
             return point
@@ -165,43 +171,43 @@ def _project(rows, rho) -> list[list[tuple[int, ...]]]:
     Returns, for each i, the derived rows that bound x[i]: they involve
     x[0..i] only, and x[0..i] extends to a real point of the cone exactly
     when it makes every row of bounding[0], ..., bounding[i] positive.
-    Derived rows are kept primitive with multipliers y >= 0 such that
-    row == y^T A exactly; a derived zero row makes y a Gordan certificate
-    that the cone is empty."""
+    Derived rows are kept primitive with integer multipliers y >= 0 and a
+    scale t > 0 such that t * row == y^T A exactly; a derived zero row makes
+    y a Gordan certificate that the cone is empty."""
     system: dict = {}
     for i, row in enumerate(rows):
-        _keep(system, row, tuple(Fraction(int(k == i)) for k in range(len(rows))))
+        _keep(system, row, tuple(int(k == i) for k in range(len(rows))), 1)
     bounding = [[] for _ in range(rho)]
     for done, j in enumerate(reversed(range(rho)), start=1):
         eliminated = [(row, y) for (row, _), y in system.items() if row[j]]
         system = {key: y for key, y in system.items() if not key[0][j]}
-        for p, yp in eliminated:
-            for n, yn in eliminated:
+        for p, (yp, tp) in eliminated:
+            for n, (yn, tn) in eliminated:
                 if p[j] > 0 > n[j]:
-                    y = tuple(-n[j] * u + p[j] * v for u, v in zip(yp, yn))
+                    # -n[j] p + p[j] n, times tp tn, is y^T A
+                    y = tuple(-n[j] * tn * u + p[j] * tp * v for u, v in zip(yp, yn))
                     # Chernikov's rule: after `done` eliminations a row that
                     # combines more than done + 1 input rows is implied by
                     # the rows that combine fewer, so it can go
                     if sum(1 for c in y if c) <= done + 1:
                         _keep(system, tuple(-n[j] * a + p[j] * b
-                                            for a, b in zip(p, n)), y)
+                                            for a, b in zip(p, n)), y, tp * tn)
         bounding[j] = list(dict.fromkeys(row for row, _ in eliminated))
     return bounding
 
 
-def _keep(system, row, y) -> None:
-    """Store row primitive, keyed with the input rows it combines: two rows
-    equal as vectors but built from different inputs both stay, since
-    Chernikov's rule counts inputs."""
+def _keep(system, row, y, scale) -> None:
+    """Store row primitive with (y, scale) in lowest terms, keyed with the
+    input rows it combines: two rows equal as vectors but built from
+    different inputs both stay, since Chernikov's rule counts inputs."""
     g = math.gcd(*row)
     if g == 0:
-        scale = math.lcm(*(c.denominator for c in y))
-        ints = [int(c * scale) for c in y]
-        g = math.gcd(*ints)
-        raise EmptyCone(tuple(c // g for c in ints))
-    support = frozenset(k for k, c in enumerate(y) if c)
-    system.setdefault((tuple(a // g for a in row), support),
-                      tuple(c / g for c in y))
+        g = math.gcd(*y)
+        raise EmptyCone(tuple(c // g for c in y))
+    key = (tuple(a // g for a in row), frozenset(k for k, c in enumerate(y) if c))
+    if key not in system:
+        h = math.gcd(scale * g, *y)
+        system[key] = (tuple(c // h for c in y), scale * g // h)
 
 
 def _first_in_box(rows, bounding, radius):

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .bimodule_system import (Bimodule, BimoduleSystem, _read_bimodules,
-                              _twisted_walk, make_system)
+from .bimodule_system import (Bimodule, BimoduleSystem, _check_classes_commute,
+                              _read_bimodules, _twisted_walk, make_system)
 from .errors import DegreeMismatch, ParseError
 from .lattice_algebra import Matrix
 from .scheme_model import (DivisorClass, _exact_int, _rational, _strict_int,
@@ -44,14 +44,16 @@ def _mob(rows) -> Mob:
     if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ParseError(f"a Moebius matrix is 2x2, got {rows}")
     entries = m[0] + m[1]
+    if all(type(x) is int for x in entries):
+        return _mob_reduced(*entries, 1)
     den = lcm(*(x.denominator for x in entries))
     return _mob_reduced(*(x.numerator * (den // x.denominator) for x in entries), den)
 
 
-def _mob_mul(p: Mob, q: Mob) -> Mob:
-    return _mob_reduced(p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
-                        p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3],
-                        p[4] * q[4])
+def _mob_product(p: Mob, q: Mob) -> Mob:
+    """p q, unreduced."""
+    return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+            p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3], p[4] * q[4])
 
 
 def _mob_inv(p: Mob) -> Mob:
@@ -66,7 +68,7 @@ _MOB_ID: Mob = (1, 0, 0, 1, 1)
 
 def _mob_projectively_equal(p: Mob, q: Mob) -> bool:
     # a nonsingular map has a nonzero entry; cross-multiplying against it
-    # also fails when q is zero there
+    # also fails when q is zero there, and neither map need be reduced
     pivot = next(i for i in range(4) if p[i])
     return all(x * q[pivot] == y * p[pivot] for x, y in zip(p[:4], q[:4]))
 
@@ -117,12 +119,16 @@ class FactorAutomorphism:
         perm = tuple(_exact_int(p, "perm entry") - 1 for p in perm_1based)
         return FactorAutomorphism(perm, tuple(_mob(rows) for rows in mobius_rows))
 
-    def compose(self, other: "FactorAutomorphism") -> "FactorAutomorphism":
-        """self after other (self(other(p)))."""
+    def _same_d(self, other: "FactorAutomorphism") -> None:
         if self.d != other.d:
             raise ParseError(f"cannot compose maps of {self.d} and {other.d} factors")
+
+    def compose(self, other: "FactorAutomorphism") -> "FactorAutomorphism":
+        """self after other (self(other(p)))."""
+        self._same_d(other)
         perm = tuple(other.perm[p] for p in self.perm)
-        mob = tuple(_mob_mul(m, other.mobius[p]) for m, p in zip(self.mobius, self.perm))
+        mob = tuple(_mob_reduced(*_mob_product(m, other.mobius[p]))
+                    for m, p in zip(self.mobius, self.perm))
         return FactorAutomorphism._trusted(perm, mob)
 
     def inverse(self) -> "FactorAutomorphism":
@@ -131,17 +137,6 @@ class FactorAutomorphism:
             inv_perm[p] = k
         mob = tuple(_mob_inv(self.mobius[inv_perm[j]]) for j in range(self.d))
         return FactorAutomorphism._trusted(tuple(inv_perm), mob)
-
-    def power(self, n: int) -> "FactorAutomorphism":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = FactorAutomorphism.identity(self.d)
-        while n:
-            if n & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            n >>= 1
-        return result
 
     def lattice_matrix(self) -> Matrix:
         """Induced permutation action on multidegrees."""
@@ -153,12 +148,15 @@ class FactorAutomorphism:
         return Matrix.from_rows(rows)
 
     def commutes_projectively(self, other: "FactorAutomorphism") -> bool:
-        a = self.compose(other)
-        b = other.compose(self)
-        if a.perm != b.perm:
+        """Whether self after other and other after self permute alike and
+        agree factor by factor up to scale; the factors are compared as
+        unreduced products, since a common factor leaves the map."""
+        self._same_d(other)
+        if any(other.perm[p] != self.perm[q] for p, q in zip(self.perm, other.perm)):
             return False
-        return all(_mob_projectively_equal(x, y)
-                   for x, y in zip(a.mobius, b.mobius))
+        return all(_mob_projectively_equal(_mob_product(m, other.mobius[p]),
+                                           _mob_product(n, self.mobius[q]))
+                   for m, p, n, q in zip(self.mobius, self.perm, other.mobius, other.perm))
 
 
 def monomial_basis(multidegree) -> tuple[tuple[int, ...], ...]:
@@ -409,16 +407,20 @@ class OracleRing:
         d = _exact_int(d, "d")
         pairs = tuple((tuple(_exact_int(a, "degree entry") for a in deg), sigma)
                       for deg, sigma in pairs)
+        OracleRing._check_twists(d, pairs)
+        self._adopt(d, pairs, make_system(
+            p1_power_scheme(d), [(deg, sigma.lattice_matrix()) for deg, sigma in pairs]))
+
+    @staticmethod
+    def _check_twists(d: int, pairs) -> None:
+        """Every bundle and map on d factors, and the maps pairwise
+        commuting projectively."""
         for deg, sigma in pairs:
             if len(deg) != d or sigma.d != d:
                 raise ParseError("bundle or automorphism does not match d")
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                if not pairs[i][1].commutes_projectively(pairs[j][1]):
-                    raise ParseError(
-                        f"automorphisms {i} and {j} do not commute projectively")
-        self._adopt(d, pairs, make_system(
-            p1_power_scheme(d), [(deg, sigma.lattice_matrix()) for deg, sigma in pairs]))
+        for (i, (_, a)), (j, (_, b)) in itertools.combinations(enumerate(pairs), 2):
+            if not a.commutes_projectively(b):
+                raise ParseError(f"automorphisms {i} and {j} do not commute projectively")
 
     def _adopt(self, d: int, pairs, shadow: BimoduleSystem) -> None:
         self.d = d
@@ -599,9 +601,9 @@ def bergman_check(ring: OracleRing, triple) -> bool:
     after a common prefix P: the twists P x y and P y x agree projectively
     because OracleRing rejects twists that do not commute projectively, and
     the multidegrees agree because the numerical shadow rejects classes
-    with d_x + M_x d_y != d_y + M_y d_x (ClassCommutationFail) and actions
-    with M_x M_y != M_y M_x (MatrixCommutationFail), which move the bundles
-    after the swap.  So on every ring that can be built every edge exists,
+    with d_x + M_x d_y != d_y + M_y d_x (ClassCommutationFail) and the
+    actions M_x, M_y, which move the bundles after the swap, commute (the
+    permutations of projectively commuting twists do).  So on every ring that can be built every edge exists,
     and the check reduces to validating the triple.
     """
     if len(triple) != 3 or not all(0 <= t < ring.s for t in triple):
@@ -687,7 +689,13 @@ def cross_validate(ring: OracleRing, sys: BimoduleSystem, *, grade_range: int,
 
 def load_oracle(document) -> OracleRing:
     """Build the ring from a document's oracle member, cross-checking the
-    declared bimodule matrices against the induced permutation actions."""
+    declared bimodule matrices against the induced permutation actions.
+
+    It checks what OracleRing(d, pairs) checks, with the same errors, each
+    fact once: the shadow is the declared bimodules, whose matrices are by
+    then permutation actions, so their determinants are +-1 and they
+    commute where the twists commute projectively; the classes are still
+    checked pair by pair."""
     if not isinstance(document, dict):
         raise ParseError("oracle loader needs a parsed document")
     if "oracle" not in document:
@@ -708,5 +716,12 @@ def load_oracle(document) -> OracleRing:
             raise ParseError(
                 f"bimodule {i} matrix is not the permutation action of its "
                 f"automorphism")
-    return OracleRing(d, [(bim.divisor.coords, auto)
-                          for bim, auto in zip(bims, autos)])
+    pairs = tuple((bim.divisor.coords, auto) for bim, auto in zip(bims, autos))
+    if not pairs:
+        # the checked constructor says what a ring without bundles lacks
+        return OracleRing(d, pairs)
+    OracleRing._check_twists(d, pairs)
+    shadow = tuple(Bimodule(bim.divisor, bim.action) for bim in bims)
+    for i, j in itertools.combinations(range(len(shadow)), 2):
+        _check_classes_commute(shadow, i, j)
+    return OracleRing._trusted(d, pairs, BimoduleSystem._trusted(p1_power_scheme(d), shadow))

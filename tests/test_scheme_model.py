@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -12,6 +14,7 @@ from ncample.errors import EmptyCone, NotIntegerValued, ParseError
 from ncample.numeric_polynomials import MultiPoly
 from ncample.scheme_model import (
     DivisorClass,
+    _project,
     _rational,
     builtin_names,
     builtin_scheme,
@@ -37,6 +40,48 @@ def shell_walk_interior_point(rows, rho, radius=8):
             if all(sum(a * x for a, x in zip(row, point)) > 0 for row in rows):
                 return point
     return None
+
+
+def fraction_project(rows, rho):
+    """The Fourier-Motzkin elimination with Fraction multipliers that
+    _project replaced, as its reference: the same bounding rows in the
+    same order, and the same certificate."""
+    system = {}
+
+    def keep(row, y):
+        g = math.gcd(*row)
+        if g == 0:
+            scale = math.lcm(*(c.denominator for c in y))
+            ints = [int(c * scale) for c in y]
+            g = math.gcd(*ints)
+            raise EmptyCone(tuple(c // g for c in ints))
+        support = frozenset(k for k, c in enumerate(y) if c)
+        system.setdefault((tuple(a // g for a in row), support), tuple(c / g for c in y))
+
+    for i, row in enumerate(rows):
+        keep(row, tuple(Fraction(int(k == i)) for k in range(len(rows))))
+    bounding = [[] for _ in range(rho)]
+    for done, j in enumerate(reversed(range(rho)), start=1):
+        eliminated = [(row, y) for (row, _), y in system.items() if row[j]]
+        system = {key: y for key, y in system.items() if not key[0][j]}
+        for p, yp in eliminated:
+            for n, yn in eliminated:
+                if p[j] > 0 > n[j]:
+                    y = tuple(-n[j] * u + p[j] * v for u, v in zip(yp, yn))
+                    if sum(1 for c in y if c) <= done + 1:
+                        keep(tuple(-n[j] * a + p[j] * b for a, b in zip(p, n)), y)
+        bounding[j] = list(dict.fromkeys(row for row, _ in eliminated))
+    return bounding
+
+
+def assert_projection_matches(rows):
+    outcomes = []
+    for project in (_project, fraction_project):
+        try:
+            outcomes.append(("rows", project(rows, len(rows[0]))))
+        except EmptyCone as exc:
+            outcomes.append(("empty", exc.certificate))
+    assert outcomes[0] == outcomes[1], rows
 
 
 def assert_gordan(rows, y):
@@ -88,12 +133,24 @@ class TestBuiltins:
         # basis; each must be the conversion of its monomial form
         wanted = [(p1_power_scheme(d),
                    dict.fromkeys(itertools.product((0, 1), repeat=d), 1))
-                  for d in range(1, 6)]
+                  for d in range(1, 9)]
         wanted.append((builtin_scheme("P2"),
                        {(2,): Fraction(1, 2), (1,): Fraction(3, 2), (0,): 1}))
         wanted.append((builtin_scheme("AbelianSurfaceHyperbolic"), {(1, 1): 1}))
         for scheme, monomials in wanted:
             assert scheme.euler == MultiPoly.from_monomials(scheme.rho, monomials)
+        # and the two conversions round-trip, on data/ too
+        schemes = [scheme for scheme, _ in wanted]
+        data = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+        for name in sorted(os.listdir(data)):
+            if name.endswith(".json"):
+                with open(os.path.join(data, name), "rb") as fh:
+                    schemes.append(load_scheme(fh.read()))
+        for scheme in schemes:
+            monomials = scheme.euler.to_monomials()
+            again = MultiPoly.from_monomials(scheme.rho, monomials)
+            assert again == scheme.euler, scheme.name
+            assert again.to_monomials() == monomials, scheme.name
 
     def test_hinted_interior_point_is_the_searched_one(self):
         # the factories skip the cone search with a hint; it must be the
@@ -234,6 +291,7 @@ class TestConeSearch:
             rho = rng.randint(1, 3)
             rows = [[rng.randint(-3, 3) for _ in range(rho)]
                     for _ in range(rng.randint(1, 5))]
+            assert_projection_matches(rows)
             want = shell_walk_interior_point(rows, rho)
             try:
                 got = cone_scheme(rows).interior_point
@@ -273,6 +331,7 @@ class TestConeSearch:
             cone_scheme(rows)
         assert time.perf_counter() - started < 1.0
         assert_gordan(rows, info.value.certificate)
+        assert_projection_matches(rows)
 
     def test_zero_row_is_empty(self):
         with pytest.raises(EmptyCone) as info:

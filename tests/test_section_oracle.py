@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from corpus import run_optimized
 from ncample.bimodule_system import dual as numeric_dual
-from ncample.bimodule_system import system_to_document
+from ncample.bimodule_system import make_system, system_to_document
 from ncample import section_oracle
-from ncample.errors import DegreeMismatch, ParseError
+from ncample.errors import ClassCommutationFail, DegreeMismatch, ParseError
+from ncample.lattice_algebra import Matrix
+from ncample.scheme_model import p1_power_scheme
 from ncample.section_oracle import (
     FactorAutomorphism,
     MultiSection,
@@ -69,6 +72,20 @@ def cycle_ring():
     return OracleRing(3, [((2, 1, 0), cyc), ((3, 2, 1), cyc)])
 
 
+def power(sigma, n):
+    """sigma^n by repeated squaring, the reference map that
+    fraction_power checks; the library walks one compose per grade."""
+    base = sigma if n >= 0 else sigma.inverse()
+    n = abs(n)
+    result = FactorAutomorphism.identity(sigma.d)
+    while n:
+        if n & 1:
+            result = result.compose(base)
+        base = base.compose(base)
+        n >>= 1
+    return result
+
+
 def mobius_walk_multidegree(ring, n):
     """Reference for graded_multidegree: compose the full automorphisms
     along the product and read each step's shift off the lattice action."""
@@ -80,7 +97,7 @@ def mobius_walk_multidegree(ring, n):
             step = prefix.compose(inner).lattice_matrix().apply(deg)
             total = [t + x for t, x in zip(total, step)]
             inner = inner.compose(sigma)
-        prefix = prefix.compose(sigma.power(n_a))
+        prefix = prefix.compose(power(sigma, n_a))
     return tuple(total)
 
 
@@ -119,8 +136,8 @@ class TestFactorAutomorphism:
 
     def test_power_cycle(self):
         cyc = FactorAutomorphism.build([2, 3, 1], [MOB_ID] * 3)
-        assert cyc.power(3).perm == (0, 1, 2)
-        assert cyc.power(-1).perm == cyc.inverse().perm
+        assert power(cyc, 3).perm == (0, 1, 2)
+        assert power(cyc, -1).perm == cyc.inverse().perm
 
     def test_lattice_matrix_shadow(self):
         sw = FactorAutomorphism.build([2, 1], [MOB_ID, MOB_ID])
@@ -444,7 +461,7 @@ class TestAgainstFractionAlgebra:
             n = rng.randint(-4, 4)
             for got, want in ((f.compose(g), fraction_compose(ref_f, ref_g)),
                               (f.inverse(), fraction_inverse(ref_f)),
-                              (f.power(n), fraction_power(ref_f, n))):
+                              (power(f, n), fraction_power(ref_f, n))):
                 assert got.perm == want[0]
                 assert fraction_rows(got) == want[1]
         assert unimodular < 5
@@ -459,7 +476,7 @@ class TestAgainstFractionAlgebra:
             ref_sec = (sec.multidegree, sec.terms)
             n = rng.randint(-3, 3)
             for g, ref_g in ((f, ref_f), (f.inverse(), fraction_inverse(ref_f)),
-                             (f.power(n), fraction_power(ref_f, n))):
+                             (power(f, n), fraction_power(ref_f, n))):
                 img = pullback(g, sec)
                 assert (img.multidegree, img.terms) == fraction_pullback(ref_g, ref_sec)
             prod = sec * other
@@ -599,15 +616,59 @@ class TestFractionFreeSections:
         assert built == []
 
 
+DATA = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "data"))
+
+
+def oracle_documents():
+    """(name, document) for every data/ document with an oracle member."""
+    out = []
+    for name in sorted(os.listdir(DATA)):
+        if name.endswith(".json"):
+            with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if "oracle" in doc:
+                out.append((name, doc))
+    return out
+
+
+def oracle_doc(d, bundles):
+    """A document from (divisor, matrix, perm, mobius) bundles."""
+    return {"bimodules": [{"divisor": div, "matrix": mat} for div, mat, _, _ in bundles],
+            "oracle": {"d": d, "automorphisms": [{"perm": perm, "mobius": mob}
+                                                 for _, _, perm, mob in bundles]}}
+
+
+ONE = [["1", "0"], ["0", "1"]]
+ROTATION = [["0", "-1"], ["1", "0"]]
+SHEAR = [["1", "1"], ["0", "1"]]
+SWAP = [[0, 1], [1, 0]]
+IDENTITY = [[1, 0], [0, 1]]
+
+# documents load_oracle must refuse, with the error the checked
+# constructor gives: the class, and the start of its message
+BAD_ORACLE_DOCUMENTS = [
+    (oracle_doc(1, [([1], [[1]], [1], [ROTATION]), ([1], [[1]], [1], [SHEAR])]),
+     ParseError, "automorphisms 0 and 1 do not commute projectively"),
+    (oracle_doc(2, [([1, 0], SWAP, [2, 1], [ONE, ONE]),
+                    ([1, 0], IDENTITY, [1, 2], [ONE, ONE])]),
+     ClassCommutationFail, "bimodules at positions 0 and 1"),
+    # the wrong matrix is reported before the maps' commutation
+    (oracle_doc(1, [([1], [[-1]], [1], [ROTATION]), ([1], [[1]], [1], [SHEAR])]),
+     ParseError, "bimodule 0 matrix is not the permutation action"),
+    (oracle_doc(1, [([1], [[1]], [1], [[["1", "0"]]])]),
+     ParseError, "a Moebius matrix is 2x2"),
+    (oracle_doc(1, [([1], [[1]], [1], [[["1/0", "0"], ["0", "1"]]])]),
+     ParseError, "a Moebius entry must be a rational number"),
+    (oracle_doc(1, [([1], [[1]], [1], [[["1", "2"], ["2", "4"]]])]),
+     ParseError, "singular Moebius matrix"),
+    (oracle_doc(1, [([1], [[1]], [1], [[[1, 0], [0, 1], [0, 0]]])]),
+     ParseError, "a Moebius matrix is 2x2"),
+]
+
+
 class TestLoadOracle:
     def _doc(self):
-        return {
-            "bimodules": [{"divisor": [1, 0], "matrix": [[0, 1], [1, 0]]}],
-            "oracle": {"d": 2, "automorphisms": [
-                {"perm": [2, 1], "mobius": [
-                    [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]},
-            ]},
-        }
+        return oracle_doc(2, [([1, 0], SWAP, [2, 1], [ONE, ONE])])
 
     def test_round_trip(self):
         ring = load_oracle(self._doc())
@@ -631,14 +692,50 @@ class TestLoadOracle:
         with pytest.raises(ParseError):
             load_oracle(doc)
 
+    def test_rejects_bad_documents(self):
+        for doc, error, message in BAD_ORACLE_DOCUMENTS:
+            with pytest.raises(error) as info:
+                load_oracle(doc)
+            assert type(info.value) is error
+            assert str(info.value).startswith(message), str(info.value)
+
+    def test_empty_ring_rejected(self):
+        for d in (0, 2):
+            with pytest.raises(ParseError):
+                load_oracle(oracle_doc(d, []))
+
+    def test_shadow_is_the_checked_system(self):
+        for name, doc in oracle_documents():
+            member = doc["oracle"]
+            autos = [FactorAutomorphism.build(e["perm"], e["mobius"])
+                     for e in member["automorphisms"]]
+            checked = make_system(p1_power_scheme(member["d"]), [
+                (bim["divisor"], auto.lattice_matrix())
+                for bim, auto in zip(doc["bimodules"], autos)])
+            assert load_oracle(doc).numerical_shadow() == checked, name
+
+    def test_each_fact_checked_once(self, monkeypatch):
+        # one permutation action per automorphism, and no determinant:
+        # the shadow is built from the matrices already compared
+        real_lattice, real_det = FactorAutomorphism.lattice_matrix, Matrix.det
+        lattice, dets = [], []
+        monkeypatch.setattr(FactorAutomorphism, "lattice_matrix",
+                            lambda f: lattice.append(f) or real_lattice(f))
+        monkeypatch.setattr(Matrix, "det", lambda m: dets.append(m) or real_det(m))
+        for name, doc in oracle_documents():
+            lattice.clear()
+            ring = load_oracle(doc)
+            assert len(lattice) <= ring.s, name
+            assert dets == [], name
+
 
 _BAD_ARGUMENTS = """
 import random
-from ncample.errors import ParseError
+from ncample.errors import ClassCommutationFail, ParseError
 from ncample.section_oracle import (FactorAutomorphism, MultiSection, OracleRing,
                                     bergman_check, cross_validate, hilbert_match,
-                                    monomial_basis, opposite_check, pullback,
-                                    section_space_dim)
+                                    load_oracle, monomial_basis, opposite_check,
+                                    pullback, section_space_dim)
 
 ident = FactorAutomorphism.identity(1)
 swap = FactorAutomorphism.build([2, 1], [[[1, 0], [0, 1]]] * 2)
@@ -698,9 +795,15 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
         print(call())
     except ParseError:
         print("ParseError")
-"""
+for doc in DOCUMENTS:
+    try:
+        print(load_oracle(doc))
+    except (ParseError, ClassCommutationFail) as exc:
+        print(type(exc).__name__)
+""".replace("DOCUMENTS", repr([doc for doc, _, _ in BAD_ORACLE_DOCUMENTS]))
 
 
 def test_bad_arguments_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_ARGUMENTS) == ["ParseError"] * 43
+    assert run_optimized(_BAD_ARGUMENTS) == \
+        ["ParseError"] * 43 + [error.__name__ for _, error, _ in BAD_ORACLE_DOCUMENTS]
