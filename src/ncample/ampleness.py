@@ -91,7 +91,9 @@ def quasi_unipotent_screen(sys: BimoduleSystem) -> ScreenReport:
 
     A unipotent power whose nilpotent part survives past exponent ell + 1
     cannot come from an automorphism of a projective model; that raises
-    GeometricRealizabilityWarning but is not an error.
+    GeometricRealizabilityWarning but is not an error.  The decision and
+    the nilpotent powers come from lattice_algebra's memo, keyed by the
+    matrix; the warning and the message are made here for every index.
     """
     rho = sys.scheme.rho
     ell = nilpotency_ceiling(rho)

@@ -46,7 +46,8 @@ class BimoduleSystem:
             for j in range(i + 1, len(self.bimodules)):
                 mi = self.bimodules[i].action
                 mj = self.bimodules[j].action
-                if mi * mj != mj * mi:
+                # equal actions commute; only their classes need the check
+                if mi != mj and mi * mj != mj * mi:
                     raise MatrixCommutationFail(i, j)
                 _check_classes_commute(self.bimodules, i, j)
 

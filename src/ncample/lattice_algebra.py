@@ -85,7 +85,7 @@ class Matrix:
                                      for row in self.entries))
 
     def scale(self, c: int) -> "Matrix":
-        if not isinstance(c, int):
+        if type(c) is not int:
             raise ParseError(f"matrix scale factor must be an integer, got {c!r}")
         return Matrix._trusted(tuple(tuple(c * e for e in row) for row in self.entries))
 
@@ -146,17 +146,18 @@ class Matrix:
             raise NonInvertible(det=d)
         n = self.rho
         if n == 1:
-            return Matrix(((d,),))
+            return Matrix._trusted(((d,),))
         cof = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                minor = Matrix(tuple(
+                minor = Matrix._trusted(tuple(
                     tuple(self.entries[r][c] for c in range(n) if c != j)
                     for r in range(n) if r != i))
                 cof[i][j] = (-1) ** (i + j) * minor.det()
         # adjugate is the transposed cofactor matrix; dividing by det = +-1
         # is the same as multiplying by det
-        return Matrix(tuple(tuple(d * cof[j][i] for j in range(n)) for i in range(n)))
+        return Matrix._trusted(tuple(tuple(d * cof[j][i] for j in range(n))
+                                     for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,9 @@ class UniPoly:
 
     @staticmethod
     def from_coeffs(coeffs) -> "UniPoly":
-        cs = [int(c) for c in coeffs]
+        cs = list(coeffs)
+        if any(type(c) is not int for c in cs):
+            raise ParseError(f"polynomial coefficients must be integers, got {cs}")
         while cs and cs[-1] == 0:
             cs.pop()
         return UniPoly(tuple(cs))
@@ -264,11 +267,15 @@ def quasi_unipotent_candidates(rho: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, 2 * rho * rho + 3) if euler_phi(d) <= rho)
 
 
+@lru_cache(maxsize=256)
 def is_quasi_unipotent(m: Matrix) -> tuple[bool, int | None]:
     """Decide whether every eigenvalue of m is a root of unity.
 
     Returns (True, r) with r the least power making m unipotent, or
-    (False, None).  Requires det(m) in {+1, -1}.
+    (False, None).  Requires det(m) in {+1, -1}.  The answer depends on
+    the matrix value alone and actions recur across systems, so it is
+    memoized per process; NonInvertible is not cached and raises on every
+    call.
     """
     d = m.det()
     if d not in (1, -1):
@@ -292,10 +299,13 @@ def is_quasi_unipotent(m: Matrix) -> tuple[bool, int | None]:
     return True, lcm(*orders)
 
 
-def nilpotent_powers(n: Matrix) -> list[Matrix]:
-    """I, n, n^2, ... up to the last nonzero power of n.
+@lru_cache(maxsize=256)
+def nilpotent_powers(n: Matrix) -> tuple[Matrix, ...]:
+    """I, n, n^2, ... up to the last nonzero power of n, as a tuple.
 
-    Raises NotNilpotent when n^rho is not zero.
+    Raises NotNilpotent when n^rho is not zero.  Memoized per process by
+    matrix value, like is_quasi_unipotent, so the screen's M^r - I and the
+    strided class's share one entry; NotNilpotent is not cached.
     """
     powers = [Matrix.identity(n.rho)]
     power = n
@@ -304,7 +314,7 @@ def nilpotent_powers(n: Matrix) -> list[Matrix]:
             raise NotNilpotent(f"matrix is not nilpotent within exponent {n.rho}")
         powers.append(power)
         power = power * n
-    return powers
+    return tuple(powers)
 
 
 def nilpotency_degree(n: Matrix) -> int:

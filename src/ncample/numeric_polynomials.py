@@ -34,6 +34,12 @@ def _expect_len(what: str, got: int, want: int) -> None:
         raise ParseError(f"{what}: got {got}, expected {want}")
 
 
+def _expect_int(what: str, value) -> None:
+    # scheme_model's _exact_int would be a circular import here
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
 @functools.cache
 def _mono_to_binom_row(e: int) -> tuple[int, ...]:
     """Coefficients of x^e in the basis C(x,0..e).
@@ -125,7 +131,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(nvars: int, c: int) -> "MultiPoly":
-        c = int(c)
+        _expect_int("constant", c)
         return MultiPoly(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
@@ -174,6 +180,8 @@ class MultiPoly:
     def evaluate(self, point) -> int:
         pt = tuple(point)
         _expect_len("evaluation point length", len(pt), self.nvars)
+        for x in pt:
+            _expect_int("evaluation point entry", x)
         if not self.terms:
             return 0
         # C(x_j, k) once per axis, for k up to the degree in x_j
@@ -216,7 +224,7 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     def scale(self, c: int) -> "MultiPoly":
-        c = int(c)
+        _expect_int("scale factor", c)
         if c == 0:
             return MultiPoly.zero(self.nvars)
         return MultiPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
@@ -230,8 +238,10 @@ class MultiPoly:
 
     def shift(self, t) -> "MultiPoly":
         """The polynomial n -> self(n + t), exactly, via Vandermonde."""
-        tv = tuple(int(x) for x in t)
+        tv = tuple(t)
         _expect_len("shift vector length", len(tv), self.nvars)
+        for x in tv:
+            _expect_int("shift entry", x)
         out: dict[Exponents, int] = {}
         for key, coeff in self.terms.items():
             # C(n_i + t_i, k_i) = sum_j C(t_i, k_i - j) C(n_i, j)

@@ -22,7 +22,7 @@ from corpus import (
     shared_action_system,
     single_bundle_system,
 )
-from ncample import ampleness
+from ncample import ampleness, cli, lattice_algebra
 from ncample.ampleness import (
     nc_ample_verdict,
     nilpotency_ceiling,
@@ -120,6 +120,67 @@ class TestScreen:
             warnings.simplefilter("error")
             rep = quasi_unipotent_screen(golden_swap())
         assert not rep.warnings
+
+
+SHEAR = Matrix.from_rows([[1, 1], [0, 1]])
+
+
+def shear_system(*divisors):
+    """Bundles on P1xP1 that all share the shear; the classes commute
+    because the divisors share their second coordinate."""
+    return make_system(builtin_scheme("P1xP1"), [(d, SHEAR) for d in divisors])
+
+
+class TestScreenMemo:
+    """Each distinct action is screened once per process; warnings, screen
+    messages and errors are not cached."""
+
+    @staticmethod
+    def count_char_polys(monkeypatch):
+        lattice_algebra.is_quasi_unipotent.cache_clear()
+        lattice_algebra.nilpotent_powers.cache_clear()
+        calls = []
+        real = lattice_algebra.char_poly
+        monkeypatch.setattr(lattice_algebra, "char_poly",
+                            lambda m: calls.append(m) or real(m))
+        return calls
+
+    def test_shared_shear_screened_once(self, monkeypatch):
+        calls = self.count_char_polys(monkeypatch)
+        assert quiet_verdict(shear_system((1, 1), (2, 1), (0, 1))).decisive
+        assert calls == [SHEAR]
+        # another divisor with the same shear reuses the entry
+        quiet_verdict(shear_system((3, 2), (1, 2), (2, 2)))
+        assert calls == [SHEAR]
+
+    def test_nilpotent_powers_once_per_unipotent_part(self, monkeypatch):
+        self.count_char_polys(monkeypatch)
+        # the screen's M^r - I and the strided action minus I are one value
+        quiet_verdict(shear_system((1, 1), (2, 1), (0, 1)))
+        assert lattice_algebra.nilpotent_powers.cache_info().misses == 1
+        quiet_verdict(golden_swap())
+        # the swap's M^2 - I is zero, a second distinct unipotent part
+        assert lattice_algebra.nilpotent_powers.cache_info().misses == 2
+
+    def test_every_shared_action_warns(self):
+        for _ in range(2):
+            with pytest.warns(GeometricRealizabilityWarning) as caught:
+                rep = quasi_unipotent_screen(shear_system((1, 1), (2, 1)))
+            messages = [str(w.message) for w in caught]
+            assert [m.split(":")[0] for m in messages] == ["bimodule 0", "bimodule 1"]
+            assert list(rep.warnings) == messages
+
+    def test_repeated_cli_reports_are_equal(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "data", "unipotent-warning.json")
+        reports = []
+        for _ in range(2):
+            code, report = cli.run(["verdict", path])
+            assert code == 0
+            del report["timing_ms"]
+            assert any("nilpotency bound" in w for w in report["warnings"])
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestVerdict:

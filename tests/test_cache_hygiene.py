@@ -1,0 +1,48 @@
+"""Every memo in the package is bounded, unless its keys come from a small
+fixed set; a memo keyed by documents or polynomials must not grow without
+limit in a long-lived process."""
+
+import importlib
+import pkgutil
+
+import ncample
+
+# tables keyed by small ints or by no argument at all
+UNBOUNDED = {
+    "lattice_algebra.Matrix.identity": "keyed by the lattice rank",
+    "lattice_algebra.euler_phi": "keyed by an order at most 2 rho^2 + 2",
+    "lattice_algebra.cyclotomic": "keyed by an order at most 2 rho^2 + 2",
+    "numeric_polynomials._mono_to_binom_row": "keyed by a monomial degree",
+    "numeric_polynomials._falling_row": "keyed by a binomial degree",
+    "numeric_polynomials._binom_product_row":
+        "keyed by multisets of binomial degrees, which sum to a polynomial's degree",
+    "scheme_model.p1_power_scheme": "keyed by the number of P1 factors",
+    "cli._build_parser": "takes no argument: one parser per process",
+}
+
+
+def cached_functions():
+    """{module.name or module.Class.name: function} for every function and
+    staticmethod the package defines with a cache_info."""
+    found = {}
+    for info in pkgutil.iter_modules(ncample.__path__):
+        module = importlib.import_module(f"ncample.{info.name}")
+        for name, value in vars(module).items():
+            members = {name: value}
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                members = {f"{name}.{attr}": getattr(member, "__func__", member)
+                           for attr, member in vars(value).items()}
+            for qualified, fn in members.items():
+                if (hasattr(fn, "cache_info")
+                        and getattr(fn, "__module__", None) == module.__name__):
+                    found[f"{info.name}.{qualified}"] = fn
+    return found
+
+
+def test_every_memo_is_bounded():
+    found = cached_functions()
+    assert "lattice_algebra.is_quasi_unipotent" in found
+    assert sorted(set(UNBOUNDED) - set(found)) == []
+    unbounded = sorted(name for name, fn in found.items()
+                       if fn.cache_parameters()["maxsize"] is None)
+    assert unbounded == sorted(UNBOUNDED)

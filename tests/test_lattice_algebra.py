@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncample import lattice_algebra
 from ncample.errors import NonInvertible, NotNilpotent, ParseError
 from ncample.lattice_algebra import (
     Matrix,
@@ -190,8 +191,36 @@ class TestNilpotency:
 
     def test_powers_stop_at_last_nonzero(self):
         big = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        assert nilpotent_powers(big) == [Matrix.identity(3), big, big * big]
-        assert nilpotent_powers(Matrix.zero(2)) == [Matrix.identity(2)]
+        assert nilpotent_powers(big) == (Matrix.identity(3), big, big * big)
+        assert nilpotent_powers(Matrix.zero(2)) == (Matrix.identity(2),)
+
+
+class TestMemo:
+    """is_quasi_unipotent and nilpotent_powers are memoized by matrix value."""
+
+    def test_one_decision_per_matrix_value(self, monkeypatch):
+        is_quasi_unipotent.cache_clear()
+        calls = []
+        real = lattice_algebra.char_poly
+        monkeypatch.setattr(lattice_algebra, "char_poly",
+                            lambda m: calls.append(m) or real(m))
+        for m in (UPPER, Matrix.from_rows([[1, 1], [0, 1]]), SWAP, UPPER, SWAP):
+            is_quasi_unipotent(m)
+        assert calls == [UPPER, SWAP]
+
+    def test_cached_results_are_tuples(self):
+        nilpotent = UPPER - Matrix.identity(2)
+        for result in (is_quasi_unipotent(ROT4), nilpotent_powers(nilpotent)):
+            assert type(result) is tuple
+        assert nilpotent_powers(nilpotent) is nilpotent_powers(nilpotent)
+
+    def test_errors_raise_on_every_call(self):
+        singular = Matrix.from_rows([[1, 2], [2, 4]])
+        for _ in range(2):
+            with pytest.raises(NonInvertible):
+                is_quasi_unipotent(singular)
+            with pytest.raises(NotNilpotent):
+                nilpotent_powers(UPPER)
 
 
 class TestGeometricSum:

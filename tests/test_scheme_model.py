@@ -421,6 +421,18 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: MultiPoly.from_monomials(1, {(1.5,): 1}),
              lambda: constant.evaluate((1, 2)),
              lambda: constant.shift((1, 2)),
+             lambda: constant.shift((1.5,)),
+             lambda: constant.shift((True,)),
+             lambda: constant.scale(1.5),
+             lambda: constant.scale(True),
+             lambda: MultiPoly.constant(1, 2.5),
+             lambda: MultiPoly.constant(1, True),
+             lambda: pair.evaluate((1.5, 2)),
+             lambda: pair.evaluate((True, 2)),
+             lambda: UniPoly.from_coeffs([1.5, 2]),
+             lambda: UniPoly.from_coeffs([True]),
+             lambda: Matrix.identity(2).scale(True),
+             lambda: Matrix.identity(2).scale(1.5),
              lambda: constant + pair,
              lambda: constant * pair,
              lambda: binom_int(3, -1),
@@ -435,4 +447,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 62
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 74
