@@ -16,7 +16,7 @@ from operator import mul
 from .bimodule_system import BimoduleSystem, _twisted_walk, branch_class_polys
 from .errors import (ArityError, GeometricRealizabilityWarning,
                      NotQuasiUnipotent, ParseError)
-from .lattice_algebra import Matrix, is_quasi_unipotent, nilpotency_degree
+from .lattice_algebra import is_quasi_unipotent, strided_nilpotent_powers
 from .numeric_polynomials import MultiPoly, eventually_positive
 from .scheme_model import _exact_int
 
@@ -92,8 +92,9 @@ def quasi_unipotent_screen(sys: BimoduleSystem) -> ScreenReport:
     A unipotent power whose nilpotent part survives past exponent ell + 1
     cannot come from an automorphism of a projective model; that raises
     GeometricRealizabilityWarning but is not an error.  The decision and
-    the nilpotent powers come from lattice_algebra's memo, keyed by the
-    matrix; the warning and the message are made here for every index.
+    the nilpotent powers come from lattice_algebra's memos, keyed by the
+    matrix and by (matrix, order); the warning and the message are made
+    here for every index.
     """
     rho = sys.scheme.rho
     ell = nilpotency_ceiling(rho)
@@ -103,8 +104,7 @@ def quasi_unipotent_screen(sys: BimoduleSystem) -> ScreenReport:
         nilp = None
         message = None
         if flag:
-            n = (bim.action ** order) - Matrix.identity(rho)
-            nilp = nilpotency_degree(n)
+            nilp = len(strided_nilpotent_powers(bim.action, order))
             if nilp > ell + 1:
                 message = (f"bimodule {i}: unipotent part fails nilpotency bound "
                            f"{ell + 1} for rank {rho}; no automorphism of a "

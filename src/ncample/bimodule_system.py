@@ -8,12 +8,14 @@ pairwise commutation of the actions and of the twisted classes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, mul
 
 from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
                      NonInvertible, NotNilpotent, ParseError, UnipotentRequired)
-from .lattice_algebra import Matrix, geometric_sum, nilpotent_powers
+from .lattice_algebra import Matrix, geometric_sum, strided_nilpotent_powers
 from .numeric_polynomials import MultiPoly
 from .scheme_model import (DivisorClass, NumericalScheme, _as_dict, _strict_int,
                            as_coords, load_scheme)
@@ -91,7 +93,8 @@ def _twisted_walk(sys: BimoduleSystem, ranges):
 
     With the grades after a at 0, a step along bundle a adds M^n d_a to the
     class and multiplies the action by M_a, so only the first grade of each
-    run goes through a geometric sum and a power, once per bundle.
+    run goes through a geometric sum and a power, once per bundle, and a
+    run that starts at grade 0 takes neither.
     """
     runs = [tuple(r) for r in ranges]
     if len(runs) != sys.s or any(type(x) is not int or x < 0 for run in runs for x in run):
@@ -99,18 +102,20 @@ def _twisted_walk(sys: BimoduleSystem, ranges):
     if not all(runs):
         return
     steps = [(bim.divisor.coords, bim.action) for bim in sys.bimodules]
-    firsts = [(geometric_sum(m, run[0]).apply(d), m ** run[0])
+    firsts = [(geometric_sum(m, run[0]).apply(d), m ** run[0]) if run[0] else None
               for (d, m), run in zip(steps, runs)]
 
     def walk(a, n, coords, action):
         if a == sys.s:
             yield n, coords, action
             return
-        (part, power), later = firsts[a], steps[a]
+        step, later = firsts[a], steps[a]
         for x in runs[a]:
-            coords = tuple(map(add, coords, action.apply(part)))
-            action = action * power
-            part, power = later
+            if step is not None:
+                part, power = step
+                coords = tuple(map(add, coords, action.apply(part)))
+                action = action * power
+            step = later
             yield from walk(a + 1, n + (x,), coords, action)
 
     yield from walk(0, (), (0,) * sys.scheme.rho, Matrix.identity(sys.scheme.rho))
@@ -124,47 +129,75 @@ def class_at(sys: BimoduleSystem, n) -> DivisorClass:
 # ---------------------------------------------------------------------------
 # symbolic evaluation
 
-def symbolic_class(sys: BimoduleSystem) -> list[MultiPoly]:
-    """class_at as a vector of polynomials in the s exponents."""
-    vectors = _class_vectors(sys)
+def symbolic_class(sys: BimoduleSystem, periods=None) -> list[MultiPoly]:
+    """class_at(periods*q) as a vector of polynomials in q; the periods
+    default to all ones, which gives class_at itself."""
+    vectors = _class_vectors(sys, (1,) * sys.s if periods is None else periods)
     return [MultiPoly(sys.s, {key: vec[i] for key, vec in vectors.items() if vec[i]})
             for i in range(sys.scheme.rho)]
 
 
-def _class_vectors(sys: BimoduleSystem) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """symbolic_class as integer vectors keyed by binomial exponents.
+def _strides(sys: BimoduleSystem, n) -> tuple[int, ...]:
+    """n as a tuple of one positive int per bundle; anything else raises
+    ParseError."""
+    nv = tuple(n)
+    if len(nv) != sys.s or any(type(x) is not int or x < 1 for x in nv):
+        raise ParseError(f"strides must be {sys.s} positive integers, got {nv}")
+    return nv
 
-    Every action must be unipotent, M = I + N; raises UnipotentRequired
-    with the first offending index.  With M^q = sum_k C(q,k) N^k and
-    I + M + ... + M^(q-1) = sum_k C(q,k+1) N^k, the class
-    D_1(q_1) + M_1^(q_1) (D_2(q_2) + M_2^(q_2) (... + D_s(q_s))), where
-    D_a(q) = sum_k C(q,k+1) N_a^k d_a, is built from the last bundle to the
-    first.  Every term is an integer vector times a product of binomials in
-    distinct variables, one basis element of MultiPoly; the keys miss the
-    origin, where the class vanishes, and no vector is zero.
+
+def _class_vectors(sys: BimoduleSystem, periods) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """class_at(periods*q) as integer vectors keyed by binomial exponents
+    of q.
+
+    Each action raised to its period must be unipotent, M_a^(r_a) = I + N_a;
+    raises UnipotentRequired with the first offending index.  With the
+    strided divisor d_a = (I + M_a + ... + M_a^(r_a - 1)) times the divisor,
+    M^q = sum_k C(q,k) N^k and I + M + ... + M^(q-1) = sum_k C(q,k+1) N^k,
+    the class D_1(q_1) + M_1^(q_1) (D_2(q_2) + M_2^(q_2) (... + D_s(q_s))),
+    where D_a(q) = sum_k C(q,k+1) N_a^k d_a, is a sum of integer vectors
+    times products of binomials in distinct variables, one basis element of
+    MultiPoly each: the key e whose last nonzero entry is at a carries
+    N_1^(e_1)...N_(a-1)^(e_(a-1)) N_a^(e_a - 1) d_a.  Those operators depend
+    on the N's alone and come from a memo.  The keys miss the origin, where
+    the class vanishes, and no vector is zero.
     """
-    s, rho = sys.s, sys.scheme.rho
-    identity = Matrix.identity(rho)
+    pv = _strides(sys, periods)
     powers = []
-    for a, bim in enumerate(sys.bimodules):
+    for a, (bim, r) in enumerate(zip(sys.bimodules, pv)):
         try:
-            powers.append(nilpotent_powers(bim.action - identity))
+            powers.append(strided_nilpotent_powers(bim.action, r))
         except NotNilpotent:
             raise UnipotentRequired(a) from None
-    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for a in reversed(range(s)):
-        # D_a and M_a^(q_a) both raise the binomial exponent at a by k under
-        # N_a^k, from 1 for d_a and from 0 for the inner terms, whose keys
-        # are nonzero after a; so no two terms share a key
-        vectors[(0,) * a + (1,) + (0,) * (s - a - 1)] = sys.bimodules[a].divisor.coords
-        moved = {}
-        for key, vec in vectors.items():
-            for k, npow in enumerate(powers[a]):
-                image = npow.apply(vec)
-                if any(image):
-                    moved[key[:a] + (key[a] + k,) + key[a + 1:]] = image
-        vectors = moved
+    divisors = [geometric_sum(bim.action, r).apply(bim.divisor.coords)
+                for bim, r in zip(sys.bimodules, pv)]
+    vectors = {}
+    for key, a, op in _strided_operators(tuple(powers)):
+        image = divisors[a] if op is None else op.apply(divisors[a])
+        if any(image):
+            vectors[key] = image
     return vectors
+
+
+@lru_cache(maxsize=256)
+def _strided_operators(powers: tuple[tuple[Matrix, ...], ...]) -> tuple[
+        tuple[tuple[int, ...], int, Matrix | None], ...]:
+    """(key, a, operator) for every key of _class_vectors whose operator
+    N_1^(e_1)...N_(a-1)^(e_(a-1)) N_a^(e_a - 1) is not zero, with None for
+    the identity; powers[a] is nilpotent_powers(N_a).
+
+    Memoized per process by the power tuples, which is all the operators
+    depend on: systems that share their strided actions share one entry.
+    """
+    s = len(powers)
+    out = []
+    for a in range(s):
+        for exps in itertools.product(*(range(len(p)) for p in powers[:a + 1])):
+            factors = [powers[b][e] for b, e in enumerate(exps) if e]
+            op = reduce(mul, factors) if factors else None
+            if op is None or not op.is_zero():
+                out.append((exps[:a] + (exps[a] + 1,) + (0,) * (s - a - 1), a, op))
+    return tuple(out)
 
 
 def branch_class_polys(sys: BimoduleSystem, periods) -> dict[
@@ -174,15 +207,17 @@ def branch_class_polys(sys: BimoduleSystem, periods) -> dict[
 
     Each action raised to its period must be unipotent (UnipotentRequired
     names the first that is not).  The twisted sum gives
-    class(c + r*q) = class(c) + M^c S(q), where S is the class of the
-    strided system: its vectors are built once and moved by each residue's
-    action, and class(c) sits at the zero key, which S misses.  Valid for
-    all integer q >= 0.
+    class(c + r*q) = class(c) + M^c S(q), where S is the strided class: its
+    vectors are built once and moved by each residue's action, unless that
+    action is the identity, as the origin's is; class(c) sits at the zero
+    key, which S misses.  Valid for all integer q >= 0.
     """
-    strided = _class_vectors(veronese(sys, periods))
+    strided = _class_vectors(sys, periods)
     origin = (0,) * sys.s
+    identity = Matrix.identity(sys.scheme.rho)
     walk = _twisted_walk(sys, [range(r) for r in periods])
-    return {residue: {origin: coords, **{k: action.apply(v) for k, v in strided.items()}}
+    return {residue: {origin: coords, **(strided if action == identity else
+                                          {k: action.apply(v) for k, v in strided.items()})}
             for residue, coords, action in walk}
 
 
@@ -205,11 +240,8 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
     are unimodular and commute, and the strided classes commute because
     either order of two of them is the twisted product at one grade.
     """
-    nv = tuple(n)
-    if len(nv) != sys.s or any(type(x) is not int or x < 1 for x in nv):
-        raise ParseError(f"strides must be {sys.s} positive integers, got {nv}")
     bims = []
-    for bim, n_a in zip(sys.bimodules, nv):
+    for bim, n_a in zip(sys.bimodules, _strides(sys, n)):
         div = geometric_sum(bim.action, n_a).apply(bim.divisor.coords)
         bims.append(Bimodule(DivisorClass(div), bim.action ** n_a, bim.star))
     return BimoduleSystem._trusted(sys.scheme, tuple(bims))

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .ampleness import (DEFAULT_SEARCH_BOUND, Verdict, nc_ample_verdict,
                         nilpotency_ceiling)
-from .bimodule_system import (BimoduleSystem, class_at, symbolic_class,
-                              veronese)
+from .bimodule_system import BimoduleSystem, class_at, symbolic_class
 from .errors import DegenerateHilbert, NotNCAmple
 from .numeric_polynomials import MultiPoly, box_sum, compose
 
@@ -64,8 +63,7 @@ def gk(sys: BimoduleSystem, search_bound: int = DEFAULT_SEARCH_BOUND) -> GkCerti
     if verdict.kind != "NCAmple":
         raise NotNCAmple(verdict.kind)
     periods = verdict.screen.orders
-    strided = veronese(sys, periods)
-    hilbert = compose(sys.scheme.euler, symbolic_class(strided))
+    hilbert = compose(sys.scheme.euler, symbolic_class(sys, periods))
     if hilbert.is_zero():
         raise DegenerateHilbert(
             "dimension-counting polynomial vanishes identically on the stride")

@@ -92,6 +92,8 @@ class Matrix:
     def __pow__(self, n: int) -> "Matrix":
         """Left-to-right binary powering: floor(log2 n) + popcount(n) - 1
         products for n >= 1."""
+        if type(n) is not int:
+            raise ParseError(f"matrix power needs an integer exponent, got {n!r}")
         if n < 0:
             raise ParseError(f"matrix power needs n >= 0, got {n}; "
                              f"negative powers go through inverse_unimodular")
@@ -304,8 +306,7 @@ def nilpotent_powers(n: Matrix) -> tuple[Matrix, ...]:
     """I, n, n^2, ... up to the last nonzero power of n, as a tuple.
 
     Raises NotNilpotent when n^rho is not zero.  Memoized per process by
-    matrix value, like is_quasi_unipotent, so the screen's M^r - I and the
-    strided class's share one entry; NotNilpotent is not cached.
+    matrix value, like is_quasi_unipotent; NotNilpotent is not cached.
     """
     powers = [Matrix.identity(n.rho)]
     power = n
@@ -317,6 +318,26 @@ def nilpotent_powers(n: Matrix) -> tuple[Matrix, ...]:
     return tuple(powers)
 
 
+def strided_nilpotent_powers(m: Matrix, order: int) -> tuple[Matrix, ...]:
+    """nilpotent_powers of m^order - I, the nilpotent part of the action
+    strided by order.
+
+    Raises ParseError unless order is an int >= 1, and NotNilpotent when
+    m^order is not unipotent.  Memoized per process by (matrix, order), so
+    the screen and the strided class of every system that shares an action
+    and its period take one power; the order is checked before the lookup,
+    since True and 1 are one key.
+    """
+    if type(order) is not int or order < 1:
+        raise ParseError(f"a stride must be an integer >= 1, got {order!r}")
+    return _strided_nilpotent_powers(m, order)
+
+
+@lru_cache(maxsize=256)
+def _strided_nilpotent_powers(m: Matrix, order: int) -> tuple[Matrix, ...]:
+    return nilpotent_powers(m ** order - Matrix.identity(m.rho))
+
+
 def nilpotency_degree(n: Matrix) -> int:
     """Least k >= 1 with n^k = 0; raises NotNilpotent otherwise."""
     return len(nilpotent_powers(n))
@@ -324,6 +345,8 @@ def nilpotency_degree(n: Matrix) -> int:
 
 def geometric_sum(m: Matrix, n: int) -> Matrix:
     """I + m + m^2 + ... + m^(n-1), by halving."""
+    if type(n) is not int:
+        raise ParseError(f"geometric sum needs an integer length, got {n!r}")
     if n < 0:
         raise ParseError(f"geometric sum needs n >= 0, got {n}")
     if n == 0:

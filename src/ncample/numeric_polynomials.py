@@ -121,8 +121,13 @@ class MultiPoly:
     def __post_init__(self):
         if self.nvars < 1:
             raise ParseError(f"a polynomial needs a variable, got nvars = {self.nvars}")
+        # exponents and coefficients must be ints, bools excluded; one pass
+        # over all of them, and a term-by-term look only to name a bad one
+        typed = set(map(type, itertools.chain(itertools.chain.from_iterable(self.terms),
+                                              self.terms.values()))) <= {int}
         for k, c in self.terms.items():
-            if len(k) != self.nvars or min(k) < 0 or not isinstance(c, int) or not c:
+            if (len(k) != self.nvars or not typed and {type(c), *map(type, k)} != {int}
+                    or min(k) < 0 or not c):
                 raise ParseError(f"bad term {c!r} at exponents {k} in {self.nvars} variables")
 
     @staticmethod
@@ -416,6 +421,18 @@ def _binom_product_row(ms: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row.get((m,), 0) for m in range(degree + 1))
 
 
+@functools.lru_cache(maxsize=1024)
+def _vandermonde_rows(key: Exponents) -> tuple[tuple[Exponents, tuple[int, ...]], ...]:
+    """(j, row) for every j <= key, with row the coefficients of
+    prod_i C(t, k_i - j_i) in the basis C(t, 0..|key - j|).
+
+    Memoized per process by the exponent key: polynomials of one shape
+    share their keys.
+    """
+    return tuple((j, _binom_product_row(tuple(sorted(k - i for k, i in zip(key, j) if k > i))))
+                 for j in itertools.product(*(range(k + 1) for k in key)))
+
+
 def _shift_trends(p: MultiPoly) -> dict[Exponents, list[int]]:
     """Each binomial coefficient of p.shift((t,)*s) as a polynomial in t.
 
@@ -427,8 +444,7 @@ def _shift_trends(p: MultiPoly) -> dict[Exponents, list[int]]:
     degree = p.total_degree()
     trends: dict[Exponents, list[int]] = {}
     for key, c in p.terms.items():
-        for j in itertools.product(*(range(k + 1) for k in key)):
-            row = _binom_product_row(tuple(sorted(k - i for k, i in zip(key, j) if k > i)))
+        for j, row in _vandermonde_rows(key):
             vec = trends.setdefault(j, [0] * (degree + 1))
             for m, w in enumerate(row):
                 vec[m] += c * w

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corpus import (
     IDENT,
+    SWAP,
     ample_corpus,
     duality_corpus,
     fibonacci_system,
@@ -22,7 +23,7 @@ from corpus import (
     shared_action_system,
     single_bundle_system,
 )
-from ncample import ampleness, cli, lattice_algebra
+from ncample import ampleness, bimodule_system, cli, lattice_algebra
 from ncample.ampleness import (
     nc_ample_verdict,
     nilpotency_ceiling,
@@ -98,22 +99,20 @@ class TestScreen:
         assert rep.warnings
 
     def test_one_power_per_bundle(self, monkeypatch):
-        # the order test and the nilpotency degree share the one power M^r
+        # the nilpotency degree takes the one power M^r, from the memo keyed
+        # by (matrix, order), so a second screen of the action takes none
         path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "swap-ring.json")
         with open(path, encoding="utf-8") as fh:
             system = load_system(fh.read())
-        calls = 0
+        lattice_algebra._strided_nilpotent_powers.cache_clear()
+        calls = []
         power = Matrix.__pow__
-
-        def counted(m, n):
-            nonlocal calls
-            calls += 1
-            return power(m, n)
-
-        monkeypatch.setattr(Matrix, "__pow__", counted)
-        rep = quasi_unipotent_screen(system)
-        assert rep.orders == (2,)
-        assert calls == 1
+        monkeypatch.setattr(Matrix, "__pow__",
+                            lambda m, n: calls.append((m, n)) or power(m, n))
+        for _ in range(2):
+            rep = quasi_unipotent_screen(system)
+            assert rep.orders == (2,)
+            assert calls == [(system.bimodules[0].action, 2)]
 
     def test_no_warning_for_permutations(self):
         with warnings.catch_warnings():
@@ -139,6 +138,8 @@ class TestScreenMemo:
     def count_char_polys(monkeypatch):
         lattice_algebra.is_quasi_unipotent.cache_clear()
         lattice_algebra.nilpotent_powers.cache_clear()
+        lattice_algebra._strided_nilpotent_powers.cache_clear()
+        bimodule_system._strided_operators.cache_clear()
         calls = []
         real = lattice_algebra.char_poly
         monkeypatch.setattr(lattice_algebra, "char_poly",
@@ -155,12 +156,29 @@ class TestScreenMemo:
 
     def test_nilpotent_powers_once_per_unipotent_part(self, monkeypatch):
         self.count_char_polys(monkeypatch)
-        # the screen's M^r - I and the strided action minus I are one value
-        quiet_verdict(shear_system((1, 1), (2, 1), (0, 1)))
-        assert lattice_algebra.nilpotent_powers.cache_info().misses == 1
-        quiet_verdict(golden_swap())
+        powers = []
+        real = Matrix.__pow__
+        monkeypatch.setattr(lattice_algebra.Matrix, "__pow__",
+                            lambda m, n: powers.append((m, n)) or real(m, n))
+        strided = lattice_algebra._strided_nilpotent_powers
+        operators = bimodule_system._strided_operators
+        # the screen and the strided class share one M^r per (matrix,
+        # order), and the shear's s = 3 power tuple builds its operators once
+        for divisors in (((1, 1), (2, 1), (0, 1)), ((3, 2), (1, 2), (2, 2))):
+            quiet_verdict(shear_system(*divisors))
+            assert powers == [(SHEAR, 1)]
+            assert strided.cache_info().misses == 1
+            assert operators.cache_info().misses == 1
+        # two bundles make a second power tuple, but no second power
+        quiet_verdict(shear_system((1, 1), (2, 1)))
+        assert powers == [(SHEAR, 1)]
+        assert operators.cache_info().misses == 2
         # the swap's M^2 - I is zero, a second distinct unipotent part
+        quiet_verdict(golden_swap())
+        assert powers.count((SWAP, 2)) == 1
+        assert strided.cache_info().misses == 2
         assert lattice_algebra.nilpotent_powers.cache_info().misses == 2
+        assert operators.cache_info().misses == 3
 
     def test_every_shared_action_warns(self):
         for _ in range(2):

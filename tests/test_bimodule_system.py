@@ -20,6 +20,7 @@ from corpus import (
 from ncample import bimodule_system
 from ncample.ampleness import nc_ample_verdict
 from ncample.bimodule_system import (
+    Bimodule,
     BimoduleSystem,
     _twisted_walk,
     branch_class_polys,
@@ -39,12 +40,15 @@ from ncample.errors import (
     ClassCommutationFail,
     MatrixCommutationFail,
     NonInvertible,
+    NotNilpotent,
     ParseError,
     UnipotentRequired,
 )
-from ncample.lattice_algebra import Matrix
+from ncample.ampleness import quasi_unipotent_screen
+from ncample.lattice_algebra import Matrix, nilpotent_powers
 from ncample.numeric_polynomials import MultiPoly
-from ncample.scheme_model import builtin_scheme, load_scheme
+from ncample.scheme_model import (DivisorClass, builtin_scheme, load_scheme,
+                                  p1_power_scheme)
 from ncample.section_oracle import hilbert_match, load_oracle
 
 
@@ -240,6 +244,138 @@ class TestSymbolicClass:
                     n = tuple(ci + ri * qi for ci, ri, qi in zip(c, periods, q))
                     want = class_at(sys, n).coords
                     assert tuple(p.evaluate(q) for p in polys) == want, (c, q)
+
+
+def reference_class_vectors(sys):
+    """The symbolic class of a unipotent system by the nested loop: from
+    the last bundle to the first, add d_a at its unit key and move every
+    vector by each power of N_a, raising the key at a by the power."""
+    s, rho = sys.s, sys.scheme.rho
+    powers = []
+    for a, bim in enumerate(sys.bimodules):
+        try:
+            powers.append(nilpotent_powers(bim.action - Matrix.identity(rho)))
+        except NotNilpotent:
+            raise UnipotentRequired(a) from None
+    vectors = {}
+    for a in reversed(range(s)):
+        vectors[(0,) * a + (1,) + (0,) * (s - a - 1)] = sys.bimodules[a].divisor.coords
+        moved = {}
+        for key, vec in vectors.items():
+            for k, npow in enumerate(powers[a]):
+                image = npow.apply(vec)
+                if any(image):
+                    moved[key[:a] + (key[a] + k,) + key[a + 1:]] = image
+        vectors = moved
+    return vectors
+
+
+def reference_branches(sys, periods):
+    """branch_class_polys from the veronese system's nested-loop class,
+    moved by every residue's action."""
+    strided = reference_class_vectors(veronese(sys, periods))
+    origin = (0,) * sys.s
+    return {residue: {origin: coords, **{k: action.apply(v) for k, v in strided.items()}}
+            for residue, coords, action in reference_walk(sys, [range(r) for r in periods])}
+
+
+JORDAN = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+
+@st.composite
+def jordan_systems(draw):
+    """s <= 3 bundles on P1^3 twisted by +-(I + x E + y E^2), E the
+    nilpotent Jordan block, with strides that are multiples of the periods.
+
+    The unipotent parts have nilpotency up to 3, and a negative sign gives
+    period 2.  The divisors (M_a - I) u + c_a e_1 commute, because E kills
+    e_1: c_a is free when every sign is positive, and otherwise shared by
+    the negative bundles and 0 on the positive ones.  u and the c_a are
+    often all zero.
+    """
+    s = draw(st.integers(1, 3))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=s, max_size=s))
+    actions = []
+    for sign in signs:
+        x, y = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        actions.append((Matrix.identity(3) + JORDAN.scale(x)
+                        + (JORDAN * JORDAN).scale(y)).scale(sign))
+    u = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    shared = draw(st.integers(-2, 2))
+    cs = [draw(st.integers(-2, 2)) if -1 not in signs else shared if sign < 0 else 0
+          for sign in signs]
+    pairs = [(tuple(v + c * (i == 0) for i, v in
+                    enumerate((m - Matrix.identity(3)).apply(u))), m)
+             for m, c in zip(actions, cs)]
+    periods = tuple(draw(st.integers(1, 2)) * (1 if sign > 0 else 2) for sign in signs)
+    return make_system(p1_power_scheme(3), pairs), periods
+
+
+def corpus_strides():
+    """(system, strides) for every quasi-unipotent corpus system and data/
+    document with strides 1 and 2 times its screen periods."""
+    systems = list(CORPUS) + [load_system(load_data(name)) for name in sorted(
+        os.listdir(os.path.join(os.path.dirname(__file__), os.pardir, "data")))]
+    cases = []
+    for sys in systems:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            screen = quasi_unipotent_screen(sys)
+        if screen.all_quasi_unipotent:
+            cases += [(sys, tuple(k * r for r in screen.orders)) for k in (1, 2)]
+    return cases
+
+
+def with_zero_divisors(sys):
+    return BimoduleSystem(sys.scheme, tuple(
+        Bimodule(DivisorClass((0,) * sys.scheme.rho), bim.action, bim.star)
+        for bim in sys.bimodules))
+
+
+class TestClassVectorsAgainstReference:
+    """The memoized operators give the nested loop's vectors exactly."""
+
+    @staticmethod
+    def check(sys, periods):
+        vectors = bimodule_system._class_vectors(sys, periods)
+        assert vectors == reference_class_vectors(veronese(sys, periods))
+        assert all(any(vec) for vec in vectors.values())
+        assert branch_class_polys(sys, periods) == reference_branches(sys, periods)
+
+    def test_corpora_and_data(self):
+        cases = corpus_strides()
+        assert len(cases) > 100
+        for sys, periods in cases:
+            self.check(sys, periods)
+
+    def test_zero_divisors_keep_no_vector(self):
+        for sys, periods in corpus_strides():
+            zero = with_zero_divisors(sys)
+            assert bimodule_system._class_vectors(zero, periods) == {}
+            self.check(zero, periods)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jordan_systems())
+    def test_jordan_systems(self, case):
+        sys, periods = case
+        self.check(sys, periods)
+        self.check(with_zero_divisors(sys), periods)
+
+    def test_nilpotency_three_reaches_key_three(self):
+        sys = make_system(p1_power_scheme(3), [((1, 2, 3), Matrix.identity(3) + JORDAN)] * 3)
+        vectors = bimodule_system._class_vectors(sys, (1, 1, 1))
+        assert max(map(max, vectors)) == 3
+        assert vectors == reference_class_vectors(sys)
+
+    def test_first_non_unipotent_stride_named(self):
+        sys = make_system(builtin_scheme("P1xP1"),
+                          [((1, 1), IDENT[2]), ((1, 1), SWAP)])
+        for periods in ((1, 1), (2, 3)):
+            with pytest.raises(UnipotentRequired) as info:
+                bimodule_system._class_vectors(sys, periods)
+            assert info.value.index == 1
+        assert bimodule_system._class_vectors(sys, (1, 2)) == \
+            reference_class_vectors(veronese(sys, (1, 2)))
 
 
 class TestConstructors:

@@ -3,9 +3,12 @@ fixed set; a memo keyed by documents or polynomials must not grow without
 limit in a long-lived process."""
 
 import importlib
+import json
+import os
 import pkgutil
 
 import ncample
+from ncample import cli
 
 # tables keyed by small ints or by no argument at all
 UNBOUNDED = {
@@ -46,3 +49,22 @@ def test_every_memo_is_bounded():
     unbounded = sorted(name for name, fn in found.items()
                        if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == sorted(UNBOUNDED)
+
+
+def test_reports_equal_with_memos_cold_and_warm():
+    # a memo keyed by values must not change an answer: every data/
+    # document's verdict and gk report is the same from cold memos and warm
+    def report(argv):
+        code, out = cli.run(argv)
+        del out["timing_ms"]
+        return code, json.dumps(out, sort_keys=True)
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+    memos = cached_functions().values()
+    for name in sorted(os.listdir(root)):
+        for command in ("verdict", "gk"):
+            argv = [command, os.path.join(root, name)]
+            for fn in memos:
+                fn.cache_clear()
+            cold = report(argv)
+            assert report(argv) == cold, argv

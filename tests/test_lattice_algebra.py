@@ -14,6 +14,7 @@ from ncample.lattice_algebra import (
     is_quasi_unipotent,
     nilpotency_degree,
     nilpotent_powers,
+    strided_nilpotent_powers,
     quasi_unipotent_candidates,
 )
 
@@ -210,9 +211,12 @@ class TestMemo:
 
     def test_cached_results_are_tuples(self):
         nilpotent = UPPER - Matrix.identity(2)
-        for result in (is_quasi_unipotent(ROT4), nilpotent_powers(nilpotent)):
+        for result in (is_quasi_unipotent(ROT4), nilpotent_powers(nilpotent),
+                       strided_nilpotent_powers(ROT4, 4)):
             assert type(result) is tuple
         assert nilpotent_powers(nilpotent) is nilpotent_powers(nilpotent)
+        assert strided_nilpotent_powers(UPPER, 3) is strided_nilpotent_powers(UPPER, 3)
+        assert strided_nilpotent_powers(UPPER, 3) == nilpotent_powers(nilpotent.scale(3))
 
     def test_errors_raise_on_every_call(self):
         singular = Matrix.from_rows([[1, 2], [2, 4]])
@@ -221,6 +225,8 @@ class TestMemo:
                 is_quasi_unipotent(singular)
             with pytest.raises(NotNilpotent):
                 nilpotent_powers(UPPER)
+            with pytest.raises(NotNilpotent):
+                strided_nilpotent_powers(ROT4, 2)
 
 
 class TestGeometricSum:

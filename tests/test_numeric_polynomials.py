@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import os
 import random
 import warnings
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncample.ampleness import nc_ample_verdict
-from ncample.bimodule_system import load_system, product, symbolic_class, veronese
+from corpus import ample_corpus, duality_corpus, unipotent_corpus
+from ncample.ampleness import nc_ample_verdict, quasi_unipotent_screen
+from ncample.bimodule_system import (branch_class_polys, load_system, product,
+                                     symbolic_class, veronese)
 from ncample import numeric_polynomials
 from ncample.errors import NotIntegerValued, ParseError
 from ncample.numeric_polynomials import (
@@ -617,3 +620,52 @@ class TestShiftSearch:
             assert found == interpolated_shift_exists(p), p.terms
             exists += found
         assert 50 < exists < 250
+
+    def test_trends_match_reference_loop(self):
+        # the functionals every corpus verdict searches, and random ones
+        rng = random.Random(13)
+        polys = [p for sys in duality_corpus() + ample_corpus() + unipotent_corpus()
+                 for p in searched_functionals(sys)]
+        assert len(polys) > 500
+        polys += [random_poly(rng, rng.randint(1, 4)) for _ in range(300)]
+        for p in polys:
+            assert list(numeric_polynomials._shift_trends(p).items()) == \
+                list(reference_shift_trends(p).items()), p.terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda s: small_polys(s, max_terms=6)))
+    def test_trends_match_reference_loop_on_random_terms(self, p):
+        assert list(numeric_polynomials._shift_trends(p).items()) == \
+            list(reference_shift_trends(p).items())
+
+
+def reference_shift_trends(p):
+    """_shift_trends by the loop over every key and every j <= key, each
+    product row looked up on its own."""
+    degree = p.total_degree()
+    trends = {}
+    for key, c in p.terms.items():
+        for j in itertools.product(*(range(k + 1) for k in key)):
+            row = numeric_polynomials._binom_product_row(
+                tuple(sorted(k - i for k, i in zip(key, j) if k > i)))
+            vec = trends.setdefault(j, [0] * (degree + 1))
+            for m, w in enumerate(row):
+                vec[m] += c * w
+    for vec in trends.values():
+        while vec and not vec[-1]:
+            vec.pop()
+    return {j: vec for j, vec in trends.items() if vec}
+
+
+def searched_functionals(sys):
+    """Every cone functional of every residue branch of a quasi-unipotent
+    system, as the verdict sums it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        screen = quasi_unipotent_screen(sys)
+    if not screen.all_quasi_unipotent:
+        return []
+    return [MultiPoly(sys.s, {key: value for key, vec in vectors.items()
+                              if (value := sum(map(operator.mul, row, vec)))})
+            for vectors in branch_class_polys(sys, screen.orders).values()
+            for row in sys.scheme.cone]

@@ -344,11 +344,12 @@ from fractions import Fraction
 from ncample.ampleness import (eventual_ampleness, nc_ample_verdict,
                                sigma_ample_verdict)
 from ncample.bimodule_system import (branch_class_polys, class_at, combined_single,
-                                     load_system, make_system, veronese)
+                                     load_system, make_system, symbolic_class,
+                                     veronese)
 from ncample.errors import ParseError
 from ncample.gk_dimension import gk, hilbert_value
 from ncample.lattice_algebra import (Matrix, UniPoly, cyclotomic, euler_phi,
-                                     geometric_sum)
+                                     geometric_sum, strided_nilpotent_powers)
 from ncample.numeric_polynomials import MultiPoly, binom_int, compose
 from ncample.scheme_model import (DivisorClass, NumericalScheme,
                                   builtin_scheme, load_scheme, p1_power_scheme)
@@ -437,7 +438,20 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: constant * pair,
              lambda: binom_int(3, -1),
              lambda: compose(pair, [constant]),
-             lambda: compose(pair, [constant, pair])):
+             lambda: compose(pair, [constant, pair]),
+             lambda: MultiPoly(1, {(1,): True}),
+             lambda: MultiPoly(1, {(1.0,): 1}),
+             lambda: Matrix.identity(2) ** 1.5,
+             lambda: Matrix.identity(2) ** True,
+             lambda: geometric_sum(Matrix.identity(2), 1.5),
+             lambda: geometric_sum(Matrix.identity(2), True),
+             # a warm (matrix, 1) entry must not answer for True
+             lambda: (strided_nilpotent_powers(Matrix.identity(2), 1),
+                      strided_nilpotent_powers(Matrix.identity(2), True)),
+             lambda: strided_nilpotent_powers(Matrix.identity(2), 1.5),
+             lambda: strided_nilpotent_powers(Matrix.identity(2), 0),
+             lambda: symbolic_class(line, (True,)),
+             lambda: symbolic_class(line, (1, 1))):
     try:
         print(call())
     except ParseError:
@@ -447,4 +461,4 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 74
+    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 85
