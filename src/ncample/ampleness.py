@@ -244,8 +244,8 @@ def eventual_ampleness(sys: BimoduleSystem,
             seen = frozenset(terms.items())
             outcome = searched.get(seen)
             if outcome is None:
-                outcome = searched[seen] = eventually_positive(MultiPoly(s, terms),
-                                                               search_bound)
+                outcome = searched[seen] = eventually_positive(
+                    MultiPoly._trusted(s, terms), search_bound)
             if outcome.is_no:
                 witness = RayWitness(
                     residue=residue,

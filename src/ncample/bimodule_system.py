@@ -15,9 +15,10 @@ from operator import add, mul
 
 from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
                      NonInvertible, NotNilpotent, ParseError, UnipotentRequired)
-from .lattice_algebra import Matrix, geometric_sum, strided_nilpotent_powers
+from .lattice_algebra import (Matrix, geometric_sum, strided_geometric_sum,
+                             strided_nilpotent_powers)
 from .numeric_polynomials import MultiPoly
-from .scheme_model import (DivisorClass, NumericalScheme, _as_dict, _strict_int,
+from .scheme_model import (DivisorClass, NumericalScheme, _as_dict, _int_tuple,
                            as_coords, load_scheme)
 
 
@@ -37,11 +38,15 @@ class BimoduleSystem:
         rho = self.scheme.rho
         if not self.bimodules:
             raise ParseError("a system needs at least one bimodule")
+        dets = {}
         for i, bim in enumerate(self.bimodules):
             if len(bim.divisor) != rho or bim.action.rho != rho:
                 raise ParseError(
                     f"bimodule {i} does not match lattice rank {rho}")
-            d = bim.action.det()
+            # one determinant per distinct action
+            d = dets.get(bim.action)
+            if d is None:
+                d = dets[bim.action] = bim.action.det()
             if d not in (1, -1):
                 raise NonInvertible(index=i, det=d)
         for i in range(len(self.bimodules)):
@@ -133,7 +138,7 @@ def symbolic_class(sys: BimoduleSystem, periods=None) -> list[MultiPoly]:
     """class_at(periods*q) as a vector of polynomials in q; the periods
     default to all ones, which gives class_at itself."""
     vectors = _class_vectors(sys, (1,) * sys.s if periods is None else periods)
-    return [MultiPoly(sys.s, {key: vec[i] for key, vec in vectors.items() if vec[i]})
+    return [MultiPoly._trusted(sys.s, {key: vec[i] for key, vec in vectors.items() if vec[i]})
             for i in range(sys.scheme.rho)]
 
 
@@ -169,7 +174,7 @@ def _class_vectors(sys: BimoduleSystem, periods) -> dict[tuple[int, ...], tuple[
             powers.append(strided_nilpotent_powers(bim.action, r))
         except NotNilpotent:
             raise UnipotentRequired(a) from None
-    divisors = [geometric_sum(bim.action, r).apply(bim.divisor.coords)
+    divisors = [strided_geometric_sum(bim.action, r).apply(bim.divisor.coords)
                 for bim, r in zip(sys.bimodules, pv)]
     vectors = {}
     for key, a, op in _strided_operators(tuple(powers)):
@@ -242,7 +247,7 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
     """
     bims = []
     for bim, n_a in zip(sys.bimodules, _strides(sys, n)):
-        div = geometric_sum(bim.action, n_a).apply(bim.divisor.coords)
+        div = strided_geometric_sum(bim.action, n_a).apply(bim.divisor.coords)
         bims.append(Bimodule(DivisorClass(div), bim.action ** n_a, bim.star))
     return BimoduleSystem._trusted(sys.scheme, tuple(bims))
 
@@ -308,13 +313,14 @@ def load_system(document) -> BimoduleSystem:
 
 
 def _read_bimodules(doc: dict) -> tuple[Bimodule, ...]:
-    """The bimodules member of a document, with strictly integer entries."""
+    """The bimodules member of a document, with strictly integer entries:
+    each array is type-checked once, so the classes and matrices are built
+    without checking their entries again."""
     try:
         return tuple(
-            Bimodule(DivisorClass(tuple(_strict_int(x, "divisor entry")
-                                        for x in entry["divisor"])),
-                     Matrix(tuple(tuple(_strict_int(e, "matrix entry") for e in row)
-                                  for row in entry["matrix"])),
+            Bimodule(DivisorClass._trusted(_int_tuple(entry["divisor"], "divisor entry")),
+                     Matrix._of_int_rows(tuple(_int_tuple(row, "matrix entry")
+                                               for row in entry["matrix"])),
                      _strict_bool(entry.get("star", False), "star flag"))
             for entry in doc["bimodules"])
     except (TypeError, KeyError) as exc:

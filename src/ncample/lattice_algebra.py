@@ -21,13 +21,8 @@ class Matrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
-            raise ParseError("a matrix needs at least one row")
+        _check_square(self.entries)
         for row in self.entries:
-            if len(row) != n:
-                raise ParseError(f"matrix must be square, got a row of length "
-                                 f"{len(row)} in {n} rows")
             if any(type(e) is not int for e in row):
                 raise ParseError(f"matrix entries must be integers, got {row}")
 
@@ -49,6 +44,14 @@ class Matrix:
         m = object.__new__(Matrix)
         object.__setattr__(m, "entries", entries)
         return m
+
+    @staticmethod
+    def _of_int_rows(entries: tuple[tuple[int, ...], ...]) -> "Matrix":
+        """A matrix from rows already known to be tuples of ints, such as a
+        document's rows read one type check each; it checks the square
+        shape and skips the entry types."""
+        _check_square(entries)
+        return Matrix._trusted(entries)
 
     def _same_rank(self, other: "Matrix", verb: str) -> None:
         if other.rho != self.rho:
@@ -160,6 +163,16 @@ class Matrix:
         # is the same as multiplying by det
         return Matrix._trusted(tuple(tuple(d * cof[j][i] for j in range(n))
                                      for i in range(n)))
+
+
+def _check_square(entries) -> None:
+    n = len(entries)
+    if n == 0:
+        raise ParseError("a matrix needs at least one row")
+    for row in entries:
+        if len(row) != n:
+            raise ParseError(f"matrix must be square, got a row of length "
+                             f"{len(row)} in {n} rows")
 
 
 @dataclass(frozen=True)
@@ -336,6 +349,22 @@ def strided_nilpotent_powers(m: Matrix, order: int) -> tuple[Matrix, ...]:
 @lru_cache(maxsize=256)
 def _strided_nilpotent_powers(m: Matrix, order: int) -> tuple[Matrix, ...]:
     return nilpotent_powers(m ** order - Matrix.identity(m.rho))
+
+
+def strided_geometric_sum(m: Matrix, order: int) -> Matrix:
+    """geometric_sum(m, order), the sum that strides a divisor by order.
+
+    Raises ParseError unless order is an int >= 1. Memoized per process by
+    (matrix, order), like strided_nilpotent_powers, and checked before the
+    lookup for the same reason."""
+    if type(order) is not int or order < 1:
+        raise ParseError(f"a stride must be an integer >= 1, got {order!r}")
+    return _strided_geometric_sum(m, order)
+
+
+@lru_cache(maxsize=256)
+def _strided_geometric_sum(m: Matrix, order: int) -> Matrix:
+    return geometric_sum(m, order)
 
 
 def nilpotency_degree(n: Matrix) -> int:

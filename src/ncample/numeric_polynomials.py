@@ -131,6 +131,17 @@ class MultiPoly:
                 raise ParseError(f"bad term {c!r} at exponents {k} in {self.nvars} variables")
 
     @staticmethod
+    def _trusted(nvars: int, terms: dict[Exponents, int]) -> "MultiPoly":
+        """A polynomial from terms already known to be valid in nvars >= 1
+        variables (nonzero int coefficients at int exponent tuples of that
+        length, all >= 0), such as the package builds from its own
+        integers; it skips the __post_init__ check."""
+        p = object.__new__(MultiPoly)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @staticmethod
     def zero(nvars: int) -> "MultiPoly":
         return MultiPoly(nvars, {})
 
@@ -156,12 +167,19 @@ class MultiPoly:
             q = coeff if type(coeff) is int else Fraction(coeff)
             if q:
                 rational[tuple(expts)] = q
-        # clear the denominators, map x^e to its binomial row, divide back
-        den = math.lcm(*(q.denominator for q in rational.values()))
-        scaled = {k: q.numerator * (den // q.denominator) for k, q in rational.items()}
+        # clear the denominators, map x^e to its binomial row, divide back;
+        # int coefficients have no denominator to clear
+        integral = set(map(type, rational.values())) <= {int}
+        if integral:
+            den, scaled = 1, rational
+        else:
+            den = math.lcm(*(q.denominator for q in rational.values()))
+            scaled = {k: q.numerator * (den // q.denominator) for k, q in rational.items()}
         degrees = [max((k[j] for k in scaled), default=0) for j in range(nvars)]
         rows = [[_mono_to_binom_row(e) for e in range(d + 1)] for d in degrees]
         terms = _change_basis(scaled, rows)
+        if integral:
+            return MultiPoly(nvars, terms)
         for key in sorted(terms):
             if terms[key] % den:
                 raise NotIntegerValued(key, Fraction(terms[key], den))
@@ -350,7 +368,7 @@ def _interpolate(degrees, total: int, f) -> MultiPoly:
         for m in range(1, d + 1):
             values = {k: c - values[k[:j] + (k[j] - 1,) + k[j + 1:]] if k[j] >= m else c
                       for k, c in values.items()}
-    return MultiPoly(len(degrees), {k: c for k, c in values.items() if c})
+    return MultiPoly._trusted(len(degrees), {k: c for k, c in values.items() if c})
 
 
 def box_sum(p: MultiPoly) -> MultiPoly:
@@ -392,7 +410,7 @@ def compose(outer: MultiPoly, inner) -> MultiPoly:
 
 def _restrict_to_ray(p: MultiPoly, base, direction) -> list[Fraction]:
     """Monomial coefficients (lowest first) of t -> p(base + t*direction)."""
-    ray = compose(p, [MultiPoly.constant(1, b) + MultiPoly(1, {(1,): v})
+    ray = compose(p, [MultiPoly._trusted(1, {k: c for k, c in (((0,), b), ((1,), v)) if c})
                       for b, v in zip(base, direction)])
     mono = ray.to_monomials()
     return [mono.get((e,), Fraction(0)) for e in range(max(ray.total_degree(), 0) + 1)]
@@ -474,7 +492,15 @@ def _least_certifying_shift(p: MultiPoly) -> int | None:
     trend a negative one, and then t gallops through 0, 1, 3, 7, ... and
     bisects the last gap.  Trends whose coefficients are all nonnegative
     are nonnegative at every t >= 0, so the probes skip them.
+
+    A nonzero p whose coefficients are all nonnegative needs no trends: the
+    Vandermonde weights C(t, k_i - j_i) are nonnegative, so every shift
+    keeps its coefficients nonnegative, and its constant term
+    p(t, ..., t) = sum_k c_k prod_i C(t, k_i) is positive exactly when some
+    term has max(k) <= t.
     """
+    if p.terms and min(p.terms.values()) >= 0:
+        return min(map(max, p.terms))
     trends = _shift_trends(p)
     constant = trends.pop((0,) * p.nvars, [])
     if not constant or constant[-1] < 0 or any(vec[-1] < 0 for vec in trends.values()):

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import EmptyCone, ParseError
 from .numeric_polynomials import MultiPoly
@@ -28,6 +29,15 @@ class DivisorClass:
         if any(type(c) is not int for c in self.coords):
             raise ParseError(f"divisor class needs integer coordinates, got {self.coords}")
 
+    @staticmethod
+    def _trusted(coords: tuple[int, ...]) -> "DivisorClass":
+        """A class from coordinates already known to be a tuple of ints,
+        such as a document array read by _int_tuple; it skips the
+        __post_init__ check."""
+        c = object.__new__(DivisorClass)
+        object.__setattr__(c, "coords", coords)
+        return c
+
     def __len__(self):
         return len(self.coords)
 
@@ -41,12 +51,28 @@ class DivisorClass:
 def _strict_int(value, what: str) -> int:
     """An int, or a string spelling one; bools, floats and anything else
     raise ParseError instead of being truncated."""
+    if type(value) is int:
+        return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
             pass
     raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+_INT = {int}
+
+
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """A document array as a tuple of ints. One type check passes an array
+    of ints (bools are not ints); any other array goes through _strict_int
+    entry by entry, which reads strings spelling ints and raises its
+    ParseError at the first bad entry."""
+    t = tuple(values)
+    if set(map(type, t)) == _INT:
+        return t
+    return tuple(_strict_int(v, what) for v in t)
 
 
 def _exact_int(value, what: str) -> int:
@@ -102,8 +128,7 @@ class NumericalScheme:
             raise ParseError(
                 f"euler polynomial degree {euler.total_degree()} exceeds dim {dim}")
         try:
-            rows = tuple(tuple(_strict_int(e, "ample cone entry") for e in row)
-                         for row in cone)
+            rows = tuple(_int_tuple(row, "ample cone entry") for row in cone)
         except TypeError as exc:
             raise ParseError(f"ample cone must be a list of rows: {exc}") from exc
         if not rows:
@@ -111,9 +136,14 @@ class NumericalScheme:
         for row in rows:
             if len(row) != rho:
                 raise ParseError(f"cone row {row} has length {len(row)}, expected {rho}")
-        if interior_hint is not None and _strictly_positive(rows, tuple(interior_hint)):
-            interior = tuple(interior_hint)
-        else:
+        interior = None
+        if interior_hint is not None:
+            hint = tuple(interior_hint)
+            if len(hint) != rho or set(map(type, hint)) != _INT:
+                raise ParseError(f"interior hint {hint} must be {rho} integers")
+            if _strictly_positive(rows, hint):
+                interior = hint
+        if interior is None:
             interior = _find_interior_point(rows, rho)
         return NumericalScheme(str(name), dim, rho, euler, rows, interior, str(note))
 
@@ -151,18 +181,40 @@ def _find_interior_point(rows, rho):
     with every row strictly positive, for the least R that has one.
 
     Raises EmptyCone, with a Gordan certificate, when no real point has.
-    The unit box is searched before the projection is built, with the same
-    first point: the projected rows follow from the cone's, so they only
-    prune."""
-    point = _first_in_box(rows, [()] * rho, 1)
+    The search tables are built once per cone. The unit box is searched
+    before the projection is built, with the same first point: the
+    projected rows follow from the cone's, so they only prune."""
+    levels = _cone_levels(rows, rho)
+    point = _first_in_box(levels, 1)
     if point is not None:
         return point
-    bounding = _project(rows, rho)
+    # a projected row of bounding[i] involves x[0..i] only: spread 0
+    levels = [[(row[:i], row[i], 0) for row in bounding] + level
+              for i, (bounding, level) in enumerate(zip(_project(rows, rho), levels))]
     # a nonempty open cone holds integer points, so the walk ends
     for radius in itertools.count(2):
-        point = _first_in_box(rows, bounding, radius)
+        point = _first_in_box(levels, radius)
         if point is not None:
             return point
+
+
+def _cone_levels(rows, rho) -> list[list[tuple[tuple[int, ...], int, int]]]:
+    """The search tables of _first_in_box for the cone rows alone: for each
+    coordinate i, (row[:i], row[i], sum |row[i+1:]|) for each row whose
+    check at i can fail. Two kinds of row cannot, so they are left out: a
+    row that is zero from i on, which the bound on x[j] at its last nonzero
+    coordinate j already made positive, and a row zero at i and before,
+    whose later coordinates can still add radius * spread > 0. A zero row
+    stays, and fails at coordinate 0."""
+    levels = []
+    for i in range(rho):
+        level = []
+        for row in rows:
+            prefix, a, spread = row[:i], row[i], sum(map(abs, row[i + 1:]))
+            if a or spread and any(prefix) or not any(row):
+                level.append((prefix, a, spread))
+        levels.append(level)
+    return levels
 
 
 def _project(rows, rho) -> list[list[tuple[int, ...]]]:
@@ -210,17 +262,17 @@ def _keep(system, row, y, scale) -> None:
         system[key] = (tuple(c // h for c in y), scale * g // h)
 
 
-def _first_in_box(rows, bounding, radius):
+def _first_in_box(levels, radius):
     """Depth-first search, in itertools.product order, for the first point of
     [-radius, radius]^rho with every row strictly positive, or None.
 
-    Coordinate i only takes the values that keep x[0..i] inside the
-    projection of the cone (bounding[i]) and leave every row able to become
-    positive when the later coordinates add the most the box allows."""
-    rho = len(bounding)
-    # reach[i][r]: the most that coordinates i+1.. can add to row r
-    reach = [[radius * sum(abs(a) for a in row[i + 1:]) for row in rows]
-             for i in range(rho)]
+    levels[i] lists (prefix, a, spread) for the rows that bound coordinate
+    i: the row is prefix . x[0..i-1] + a * x[i] + (terms in the later
+    coordinates, whose absolute coefficients sum to spread). Coordinate i
+    only takes the values that leave every such row able to become
+    positive when the later coordinates add the most the box allows,
+    radius * spread."""
+    rho = len(levels)
     point: list[int] = []
 
     def extend() -> bool:
@@ -228,14 +280,13 @@ def _first_in_box(rows, bounding, radius):
         if i == rho:
             return True
         lo, hi = -radius, radius
-        for row, rest in itertools.chain(zip(bounding[i], itertools.repeat(0)),
-                                         zip(rows, reach[i])):
-            # need row[i] * x + c > 0
-            c = sum(a * x for a, x in zip(row, point)) + rest
-            if row[i] > 0:
-                lo = max(lo, -((c - 1) // row[i]))
-            elif row[i] < 0:
-                hi = min(hi, (c - 1) // -row[i])
+        for prefix, a, spread in levels[i]:
+            # need a * x + c > 0
+            c = sum(map(mul, prefix, point)) + radius * spread
+            if a > 0:
+                lo = max(lo, -((c - 1) // a))
+            elif a < 0:
+                hi = min(hi, (c - 1) // -a)
             elif c <= 0:
                 return False
         for x in range(lo, hi + 1):
@@ -258,7 +309,7 @@ def load_scheme(document) -> NumericalScheme:
         rho = _strict_int(doc["rho"], "rho")
         monomials = {}
         for term in doc["euler"]:
-            expts = tuple(_strict_int(e, "euler exponent") for e in term["exponents"])
+            expts = _int_tuple(term["exponents"], "euler exponent")
             if len(expts) != rho or any(e < 0 for e in expts):
                 raise ParseError(f"bad euler exponents {list(expts)}")
             monomials[expts] = monomials.get(expts, 0) + _rational(term["coeff"])

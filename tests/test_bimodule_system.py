@@ -514,6 +514,33 @@ class TestDocuments:
         again = load_system(doc)
         assert again.bimodules[0].star is True
 
+    def test_entries_spelled_as_strings_still_load(self):
+        # an array that is not all ints is read entry by entry, and a
+        # string spelling an int is read as that int
+        doc = builtin_scheme("P1xP1").to_document()
+        doc["ample_cone"] = [["1", 0], [0, "1"]]
+        doc["bimodules"] = [{"divisor": ["2", 1], "matrix": [[1, "1"], [0, 1]]}]
+        sys = load_system(doc)
+        assert sys.scheme.cone == ((1, 0), (0, 1))
+        assert sys.bimodules[0].divisor.coords == (2, 1)
+        assert sys.bimodules[0].action == Matrix.from_rows([[1, 1], [0, 1]])
+        assert load_system(system_to_document(sys)) == sys
+
+    def test_one_determinant_per_distinct_action(self, monkeypatch):
+        dets = []
+        real = Matrix.det
+        monkeypatch.setattr(Matrix, "det", lambda m: dets.append(m) or real(m))
+        shear = Matrix.from_rows([[1, 1], [0, 1]])
+        make_system(builtin_scheme("P1xP1"),
+                    [((-5, 1), shear), ((1, 1), shear), ((1, 1), shear)])
+        assert dets == [shear]
+        # a repeated singular action is named at its first index
+        singular = Matrix.from_rows([[2, 0], [0, 1]])
+        with pytest.raises(NonInvertible) as info:
+            make_system(builtin_scheme("P1xP1"),
+                        [((1, 1), shear), ((1, 0), singular), ((2, 0), singular)])
+        assert info.value.index == 1
+
     @settings(max_examples=20)
     @given(st.integers(min_value=-3, max_value=3),
            st.integers(min_value=-3, max_value=3))

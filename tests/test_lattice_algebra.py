@@ -14,6 +14,7 @@ from ncample.lattice_algebra import (
     is_quasi_unipotent,
     nilpotency_degree,
     nilpotent_powers,
+    strided_geometric_sum,
     strided_nilpotent_powers,
     quasi_unipotent_candidates,
 )
@@ -227,6 +228,16 @@ class TestMemo:
                 nilpotent_powers(UPPER)
             with pytest.raises(NotNilpotent):
                 strided_nilpotent_powers(ROT4, 2)
+
+
+    def test_strided_geometric_sum(self):
+        assert strided_geometric_sum(FIB, 3) == geometric_sum(FIB, 3)
+        assert strided_geometric_sum(FIB, 3) is strided_geometric_sum(FIB, 3)
+        # a warm (matrix, 1) entry must not answer for True
+        strided_geometric_sum(SWAP, 1)
+        for order in (True, 0, -1, 1.5):
+            with pytest.raises(ParseError):
+                strided_geometric_sum(SWAP, order)
 
 
 class TestGeometricSum:

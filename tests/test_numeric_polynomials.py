@@ -69,6 +69,22 @@ class TestMultiPoly:
         q = MultiPoly.from_monomials(2, p.to_monomials())
         assert q == p
 
+    def test_integer_monomials_convert_without_denominator(self):
+        # int coefficients skip the lcm and the division; the result is
+        # the one the rational path gives
+        monomials = {(2, 1): 3, (0, 1): -2, (1, 0): 1}
+        p = MultiPoly.from_monomials(2, monomials)
+        assert p == MultiPoly.from_monomials(2, {k: Fraction(c) for k, c in monomials.items()})
+        assert p.to_monomials() == monomials
+
+    @settings(max_examples=60)
+    @given(small_polys(2), small_polys(2))
+    def test_built_polynomials_pass_the_check(self, p, q):
+        # products, compositions and box sums are built unchecked; each
+        # must still be a valid polynomial
+        for r in (p * q, compose(p, [q, p]), box_sum(p)):
+            assert MultiPoly(r.nvars, dict(r.terms)) == r
+
     @settings(max_examples=60)
     @given(small_polys(2), small_polys(2))
     def test_addition_pointwise(self, p, q):
@@ -637,6 +653,72 @@ class TestShiftSearch:
     def test_trends_match_reference_loop_on_random_terms(self, p):
         assert list(numeric_polynomials._shift_trends(p).items()) == \
             list(reference_shift_trends(p).items())
+
+
+def trend_gallop_least_shift(p):
+    """The least certifying shift by the trend-and-gallop search alone, as
+    it ran for every polynomial before polynomials with nonnegative
+    coefficients were read from their terms (the reference)."""
+    trends = numeric_polynomials._shift_trends(p)
+    constant = trends.pop((0,) * p.nvars, [])
+    if not constant or constant[-1] < 0 or any(vec[-1] < 0 for vec in trends.values()):
+        return None
+    checked = [constant] + [vec for vec in trends.values() if min(vec) < 0]
+    lo, hi = -1, 0
+    while not numeric_polynomials._shift_certifies(checked, hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if numeric_polynomials._shift_certifies(checked, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def nonnegative_polys(nvars, max_terms=6, max_exp=3, max_coeff=6):
+    """Polynomials whose binomial-basis coefficients are all positive,
+    with and without a constant term."""
+    expt = st.tuples(*(st.integers(min_value=0, max_value=max_exp) for _ in range(nvars)))
+    terms = st.dictionaries(expt, st.integers(min_value=1, max_value=max_coeff),
+                            min_size=1, max_size=max_terms)
+    origin = (0,) * nvars
+    return st.tuples(terms, st.booleans()).map(
+        lambda case: {**case[0], origin: case[0].get(origin, 1)} if case[1]
+        else {k: c for k, c in case[0].items() if k != origin}).filter(bool).map(
+        lambda t: MultiPoly(nvars, t))
+
+
+class TestNonnegativeShift:
+    def test_least_shift_is_least_top_exponent(self):
+        # C(n1, 2) is 0 at t = 0, 1 and positive from t = 2 on
+        for terms, t in (({(2, 0): 1}, 2), ({(0, 0): 3, (3, 1): 1}, 0),
+                         ({(3,): 1, (1,): 2}, 1), ({(1, 3): 2, (2, 2): 5}, 2)):
+            p = MultiPoly(len(next(iter(terms))), terms)
+            assert numeric_polynomials._least_certifying_shift(p) == t
+            assert trend_gallop_least_shift(p) == t
+            assert least_shift_by_scan(p, t) == t
+
+    def test_needs_no_trends(self, monkeypatch):
+        monkeypatch.setattr(numeric_polynomials, "_shift_trends", None)
+        p = MultiPoly(3, {(1, 2, 0): 4, (0, 3, 3): 1})
+        assert eventually_positive(p, 16).m0 == (2, 2, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(nonnegative_polys))
+    def test_matches_trend_search(self, p):
+        assert numeric_polynomials._least_certifying_shift(p) == trend_gallop_least_shift(p)
+
+    def test_matches_trend_search_on_corpus_functionals(self):
+        # every functional with nonnegative coefficients that a corpus
+        # verdict searches
+        polys = [p for sys in duality_corpus() + ample_corpus() + unipotent_corpus()
+                 for p in searched_functionals(sys)
+                 if p.terms and min(p.terms.values()) >= 0]
+        assert len(polys) > 100
+        for p in polys:
+            assert numeric_polynomials._least_certifying_shift(p) == \
+                trend_gallop_least_shift(p), p.terms
 
 
 def reference_shift_trends(p):

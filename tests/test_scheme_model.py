@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import run_optimized
+from corpus import run_python
 from ncample.bimodule_system import load_system
 from ncample.errors import EmptyCone, NotIntegerValued, ParseError
 from ncample.numeric_polynomials import MultiPoly
@@ -283,32 +283,86 @@ class TestRational:
             load_scheme(text)
 
 
+def exhaust_empty_cones():
+    """Four-row empty cones [r, -r, two random rows] in shuffled order, the
+    shape of the benchmark's empty-cone validations."""
+    rng = random.Random(41)
+    for rho in (3,) * 6 + (4,) * 6:
+        r = [0] * rho
+        while not any(r):
+            r = [rng.randint(-2, 2) for _ in range(rho)]
+        rows = [r, [-x for x in r]] + [[rng.randint(-2, 2) for _ in range(rho)]
+                                       for _ in range(2)]
+        rng.shuffle(rows)
+        yield rows
+
+
+# the certificates the search gave for exhaust_empty_cones() before its
+# tables were built once per cone
+EXHAUST_EMPTY_CERTIFICATES = [
+    (1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1),
+    (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0),
+    (0, 1, 1, 0), (1, 0, 1, 0)]
+
+
 class TestConeSearch:
     def test_matches_shell_walk(self):
         rng = random.Random(2024)
-        outcomes = {"same": 0, "beyond": 0, "empty": 0}
-        for _ in range(600):
-            rho = rng.randint(1, 3)
+        outcomes = {(rank, kind): 0 for rank in ("rho<4", "rho4")
+                    for kind in ("same", "beyond", "empty")}
+        for _ in range(700):
+            rho = rng.randint(1, 4)
             rows = [[rng.randint(-3, 3) for _ in range(rho)]
-                    for _ in range(rng.randint(1, 5))]
+                    for _ in range(rng.randint(1, rho + 3))]
+            rank = "rho4" if rho == 4 else "rho<4"
             assert_projection_matches(rows)
-            want = shell_walk_interior_point(rows, rho)
             try:
                 got = cone_scheme(rows).interior_point
             except EmptyCone as exc:
-                assert want is None, rows
+                # a Gordan certificate proves that no real point is interior
                 assert_gordan(rows, exc.certificate)
-                outcomes["empty"] += 1
+                outcomes[rank, "empty"] += 1
                 continue
             assert all(sum(a * x for a, x in zip(row, got)) > 0 for row in rows)
-            if want is None:
-                # the walk gave up at radius 8; the cone was not empty
-                assert max(abs(x) for x in got) > 8, rows
-                outcomes["beyond"] += 1
+            # walking out to got's shell finds the first point; the rho 4
+            # walk stops at shell 5, where its boxes grow large
+            shell = max(abs(x) for x in got)
+            limit = 8 if rho < 4 else 5
+            want = shell_walk_interior_point(rows, rho, min(shell, limit))
+            if shell > limit:
+                assert want is None, rows
+                outcomes[rank, "beyond"] += 1
             else:
                 assert got == want, rows
-                outcomes["same"] += 1
-        assert min(outcomes.values()) > 0, outcomes
+                outcomes[rank, "same"] += 1
+        assert min(outcomes[rank, kind] for rank in ("rho<4", "rho4")
+                   for kind in ("same", "empty")) > 0, outcomes
+        assert outcomes["rho<4", "beyond"] + outcomes["rho4", "beyond"] > 0, outcomes
+
+    def test_exhaust_thin_wedges(self):
+        # k y < x < (k + 1) y with 0-2 redundant rows a thin0 + b thin1, in
+        # shuffled order: the first point stays (2k + 1, 2, 1, ...)
+        rng = random.Random(23)
+        for rho, k, redundant in itertools.product((3, 4), (1, 2, 3), (0, 1, 2)):
+            thin = [[1, -k] + [0] * (rho - 2), [-1, k + 1] + [0] * (rho - 2)]
+            rows = thin + [[int(j == i) for j in range(rho)] for i in range(2, rho)]
+            for _ in range(redundant):
+                a, b = rng.randint(1, 3), rng.randint(1, 3)
+                rows.append([a * x + b * y for x, y in zip(*thin)])
+            rng.shuffle(rows)
+            got = cone_scheme(rows).interior_point
+            assert got == (2 * k + 1, 2) + (1,) * (rho - 2), rows
+            assert got == shell_walk_interior_point(rows, rho), rows
+
+    def test_exhaust_empty_cones(self):
+        certificates = []
+        for rows in exhaust_empty_cones():
+            assert_projection_matches(rows)
+            with pytest.raises(EmptyCone) as info:
+                cone_scheme(rows)
+            assert_gordan(rows, info.value.certificate)
+            certificates.append(info.value.certificate)
+        assert certificates == EXHAUST_EMPTY_CERTIFICATES
 
     def test_first_point_past_shell_eight(self):
         rows = [[-3, -3, -1], [-3, -2, -3], [2, 2, 1]]
@@ -363,6 +417,11 @@ def doc(**changes):
 constant = MultiPoly.from_monomials(1, {(0,): Fraction(1)})
 pair = MultiPoly.constant(2, 1)
 line = make_system(builtin_scheme("P1"), [((1,), [[1]])])
+pp = builtin_scheme("P1xP1").to_document()
+
+def system(divisor, matrix):
+    return load_system(dict(pp, bimodules=[{"divisor": divisor, "matrix": matrix}]))
+
 for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: load_scheme(doc(ample_cone=[[True]])),
              lambda: load_scheme(doc(ample_cone=[["1/2"]])),
@@ -451,14 +510,55 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: strided_nilpotent_powers(Matrix.identity(2), 1.5),
              lambda: strided_nilpotent_powers(Matrix.identity(2), 0),
              lambda: symbolic_class(line, (True,)),
-             lambda: symbolic_class(line, (1, 1))):
+             lambda: symbolic_class(line, (1, 1)),
+             # a hint is the point only when it is rho ints
+             lambda: NumericalScheme.build("x", 2, 2, MultiPoly(2, {(0, 0): 1}),
+                                           ((1, 0), (1, 1)), interior_hint=(1,)),
+             lambda: NumericalScheme.build("x", 2, 2, MultiPoly(2, {(0, 0): 1}),
+                                           ((1, 0), (0, 1)), interior_hint=(True, True)),
+             # document arrays: the cases of ARRAY_ERRORS, in order
+             lambda: load_scheme(dict(pp, euler=[{"coeff": "1", "exponents": [1, True]}])),
+             lambda: load_scheme(dict(pp, euler=[{"coeff": "1", "exponents": [1, 0.0]}])),
+             lambda: load_scheme(dict(pp, euler=[{"coeff": "1", "exponents": ["n", 0]}])),
+             lambda: load_scheme(dict(pp, ample_cone=[[1, 0], [0, False]])),
+             lambda: load_scheme(dict(pp, ample_cone=[[1, 0], [0, 1.0]])),
+             lambda: load_scheme(dict(pp, ample_cone=[[1, "one"], [0, 1]])),
+             lambda: system([1, True], [[1, 0], [0, 1]]),
+             lambda: system([1, 1.0], [[1, 0], [0, 1]]),
+             lambda: system(["x", 1], [[1, 0], [0, 1]]),
+             lambda: system([1, 1], [[1, 0], [0, True]]),
+             lambda: system([1, 1], [[1, 0], [0, 1.0]]),
+             lambda: system([1, 1], [[1, 0], ["x", 1]]),
+             lambda: system([1, 1], [[1, 0], [1]]),
+             lambda: system([1, 1], [])):
     try:
         print(call())
-    except ParseError:
-        print("ParseError")
+    except ParseError as exc:
+        print(f"ParseError: {exc}")
 """
+
+# the messages the document arrays gave when every entry was read on its
+# own; reading an array of ints with one type check must keep them
+ARRAY_ERRORS = [
+    "euler exponent must be an integer, got True",
+    "euler exponent must be an integer, got 0.0",
+    "euler exponent must be an integer, got 'n'",
+    "ample cone entry must be an integer, got False",
+    "ample cone entry must be an integer, got 1.0",
+    "ample cone entry must be an integer, got 'one'",
+    "divisor entry must be an integer, got True",
+    "divisor entry must be an integer, got 1.0",
+    "divisor entry must be an integer, got 'x'",
+    "matrix entry must be an integer, got True",
+    "matrix entry must be an integer, got 1.0",
+    "matrix entry must be an integer, got 'x'",
+    "matrix must be square, got a row of length 1 in 2 rows",
+    "a matrix needs at least one row",
+]
 
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
-    assert run_optimized(_BAD_SCHEMES) == ["ParseError"] * 85
+    lines = run_python("-O", "-c", _BAD_SCHEMES).splitlines()
+    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 101
+    assert lines[-len(ARRAY_ERRORS):] == [f"ParseError: {m}" for m in ARRAY_ERRORS]
