@@ -15,10 +15,9 @@ from operator import mul
 
 from .bimodule_system import BimoduleSystem, _twisted_walk, branch_class_polys
 from .errors import (ArityError, GeometricRealizabilityWarning,
-                     NotQuasiUnipotent, ParseError)
+                     NotQuasiUnipotent, exact_int)
 from .lattice_algebra import is_quasi_unipotent, strided_nilpotent_powers
 from .numeric_polynomials import MultiPoly, eventually_positive
-from .scheme_model import _exact_int
 
 DEFAULT_SEARCH_BOUND = 16
 
@@ -195,12 +194,6 @@ class Verdict:
         return out
 
 
-def _check_bound(search_bound) -> None:
-    """Raise ParseError unless the search bound is an int >= 0."""
-    if _exact_int(search_bound, "search bound") < 0:
-        raise ParseError(f"search bound must be >= 0, got {search_bound}")
-
-
 _CONE_NOTE = "ampleness judged relative to the declared polyhedral cone"
 
 
@@ -222,7 +215,7 @@ def eventual_ampleness(sys: BimoduleSystem,
     scanned in lexicographic residue order and functionals in declaration
     order; the first falsified pair is reported.
     """
-    _check_bound(search_bound)
+    exact_int(search_bound, "search bound", at_least=0)
     if screen is None:
         screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
@@ -286,7 +279,7 @@ def eventual_ampleness(sys: BimoduleSystem,
 def nc_ample_verdict(sys: BimoduleSystem,
                      search_bound: int = DEFAULT_SEARCH_BOUND) -> Verdict:
     """Full decision: quasi-unipotence screen, then eventual ampleness."""
-    _check_bound(search_bound)
+    exact_int(search_bound, "search bound", at_least=0)
     screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
         return _verdict("QuasiUnipotentFail", sys, search_bound, screen,
@@ -299,7 +292,7 @@ def sigma_ample_verdict(sys: BimoduleSystem,
     """Single-factor variant: search for one power with an ample class."""
     if sys.s != 1:
         raise ArityError(f"sigma_ample_verdict needs one bimodule, got {sys.s}")
-    _check_bound(search_bound)
+    exact_int(search_bound, "search bound", at_least=0)
     screen = quasi_unipotent_screen(sys)
     if not screen.all_quasi_unipotent:
         return _verdict("QuasiUnipotentFail", sys, search_bound, screen,

@@ -14,12 +14,12 @@ from functools import lru_cache, reduce
 from operator import add, mul
 
 from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
-                     NonInvertible, NotNilpotent, ParseError, UnipotentRequired)
+                     NonInvertible, NotNilpotent, ParseError, UnipotentRequired,
+                     exact_ints, int_tuple)
 from .lattice_algebra import (Matrix, geometric_sum, strided_geometric_sum,
                              strided_nilpotent_powers)
 from .numeric_polynomials import MultiPoly
-from .scheme_model import (DivisorClass, NumericalScheme, _as_dict, _int_tuple,
-                           as_coords, load_scheme)
+from .scheme_model import DivisorClass, NumericalScheme, _as_dict, as_coords, load_scheme
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def _twisted_walk(sys: BimoduleSystem, ranges):
     run goes through a geometric sum and a power, once per bundle, and a
     run that starts at grade 0 takes neither.
     """
-    runs = [tuple(r) for r in ranges]
-    if len(runs) != sys.s or any(type(x) is not int or x < 0 for run in runs for x in run):
+    runs = [exact_ints(r, "grade", at_least=0) for r in ranges]
+    if len(runs) != sys.s:
         raise ParseError(f"need {sys.s} runs of nonnegative integer grades, got {runs}")
     if not all(runs):
         return
@@ -142,15 +142,6 @@ def symbolic_class(sys: BimoduleSystem, periods=None) -> list[MultiPoly]:
             for i in range(sys.scheme.rho)]
 
 
-def _strides(sys: BimoduleSystem, n) -> tuple[int, ...]:
-    """n as a tuple of one positive int per bundle; anything else raises
-    ParseError."""
-    nv = tuple(n)
-    if len(nv) != sys.s or any(type(x) is not int or x < 1 for x in nv):
-        raise ParseError(f"strides must be {sys.s} positive integers, got {nv}")
-    return nv
-
-
 def _class_vectors(sys: BimoduleSystem, periods) -> dict[tuple[int, ...], tuple[int, ...]]:
     """class_at(periods*q) as integer vectors keyed by binomial exponents
     of q.
@@ -167,7 +158,7 @@ def _class_vectors(sys: BimoduleSystem, periods) -> dict[tuple[int, ...], tuple[
     on the N's alone and come from a memo.  The keys miss the origin, where
     the class vanishes, and no vector is zero.
     """
-    pv = _strides(sys, periods)
+    pv = exact_ints(periods, "stride", length=sys.s, at_least=1)
     powers = []
     for a, (bim, r) in enumerate(zip(sys.bimodules, pv)):
         try:
@@ -184,7 +175,7 @@ def _class_vectors(sys: BimoduleSystem, periods) -> dict[tuple[int, ...], tuple[
     return vectors
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _strided_operators(powers: tuple[tuple[Matrix, ...], ...]) -> tuple[
         tuple[tuple[int, ...], int, Matrix | None], ...]:
     """(key, a, operator) for every key of _class_vectors whose operator
@@ -246,7 +237,7 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
     either order of two of them is the twisted product at one grade.
     """
     bims = []
-    for bim, n_a in zip(sys.bimodules, _strides(sys, n)):
+    for bim, n_a in zip(sys.bimodules, exact_ints(n, "stride", length=sys.s, at_least=1)):
         div = strided_geometric_sum(bim.action, n_a).apply(bim.divisor.coords)
         bims.append(Bimodule(DivisorClass(div), bim.action ** n_a, bim.star))
     return BimoduleSystem._trusted(sys.scheme, tuple(bims))
@@ -313,14 +304,11 @@ def load_system(document) -> BimoduleSystem:
 
 
 def _read_bimodules(doc: dict) -> tuple[Bimodule, ...]:
-    """The bimodules member of a document, with strictly integer entries:
-    each array is type-checked once, so the classes and matrices are built
-    without checking their entries again."""
+    """The bimodules member of a document, with strictly integer entries."""
     try:
         return tuple(
-            Bimodule(DivisorClass._trusted(_int_tuple(entry["divisor"], "divisor entry")),
-                     Matrix._of_int_rows(tuple(_int_tuple(row, "matrix entry")
-                                               for row in entry["matrix"])),
+            Bimodule(DivisorClass(int_tuple(entry["divisor"], "divisor entry")),
+                     Matrix(tuple(int_tuple(row, "matrix entry") for row in entry["matrix"])),
                      _strict_bool(entry.get("star", False), "star flag"))
             for entry in doc["bimodules"])
     except (TypeError, KeyError) as exc:

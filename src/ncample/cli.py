@@ -70,7 +70,7 @@ def _parse_vector(text: str, expect_len: int | None = None) -> tuple[int, ...]:
     return vec
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncample",
@@ -152,9 +152,11 @@ def _cmd_validate(args, report) -> int:
                    "interior_point": list(scheme.interior_point)},
     }
     if system is not None:
+        actions = [b.action for b in system.bimodules]
+        dets = {m: m.det() for m in set(actions)}
         payload["system"] = {
             "s": system.s,
-            "determinants": [b.action.det() for b in system.bimodules],
+            "determinants": [dets[m] for m in actions],
             "star": [b.star for b in system.bimodules],
         }
         if "oracle" in doc:

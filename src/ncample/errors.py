@@ -1,4 +1,9 @@
-"""Shared exception and warning types."""
+"""Shared exception and warning types, and the integer checks.
+
+An int here is an int and nothing else: bools, floats and anything else
+raise ParseError instead of being truncated.  Document readers also take a
+string that spells an int.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,56 @@ class NcampleError(Exception):
 
 class ParseError(NcampleError):
     """A document or source string is malformed or fails validation."""
+
+
+_INT = {int}
+
+
+def strict_int(value, what: str) -> int:
+    """A document entry as an int: an int, or a string spelling one."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """A document array as a tuple of ints. One type check passes an array
+    of ints; any other array goes through strict_int entry by entry, which
+    reads strings spelling ints and raises its ParseError at the first bad
+    entry."""
+    t = tuple(values)
+    if set(map(type, t)) == _INT:
+        return t
+    return tuple(strict_int(v, what) for v in t)
+
+
+def exact_int(value, what: str, at_least: int | None = None) -> int:
+    """A library argument that must already be an int, and at least
+    at_least when that is given."""
+    if type(value) is not int or at_least is not None and value < at_least:
+        bound = "" if at_least is None else f" >= {at_least}"
+        raise ParseError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def exact_ints(values, what: str, length: int | None = None,
+               at_least: int | None = None) -> tuple[int, ...]:
+    """A library array as a tuple of ints, each checked as exact_int checks
+    one, with length entries when that is given. One type check and a min
+    pass an array of ints; only a bad array is walked entry by entry, to
+    name its first bad entry."""
+    t = tuple(values)
+    if length is not None and len(t) != length:
+        raise ParseError(f"{what} count must be {length}, got {len(t)}")
+    if set(map(type, t)) != _INT or at_least is not None and min(t) < at_least:
+        for v in t:
+            exact_int(v, what, at_least)
+    return t
 
 
 class NonInvertible(NcampleError):

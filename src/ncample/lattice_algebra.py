@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from operator import mul
 
-from .errors import NonInvertible, NotNilpotent, ParseError
+from .errors import NonInvertible, NotNilpotent, ParseError, exact_int, exact_ints
 
 
 @dataclass(frozen=True)
@@ -22,9 +23,7 @@ class Matrix:
 
     def __post_init__(self):
         _check_square(self.entries)
-        for row in self.entries:
-            if any(type(e) is not int for e in row):
-                raise ParseError(f"matrix entries must be integers, got {row}")
+        exact_ints(chain.from_iterable(self.entries), "matrix entry")
 
     @property
     def rho(self) -> int:
@@ -45,30 +44,20 @@ class Matrix:
         object.__setattr__(m, "entries", entries)
         return m
 
-    @staticmethod
-    def _of_int_rows(entries: tuple[tuple[int, ...], ...]) -> "Matrix":
-        """A matrix from rows already known to be tuples of ints, such as a
-        document's rows read one type check each; it checks the square
-        shape and skips the entry types."""
-        _check_square(entries)
-        return Matrix._trusted(entries)
-
     def _same_rank(self, other: "Matrix", verb: str) -> None:
         if other.rho != self.rho:
             raise ParseError(f"cannot {verb} matrices of rank {self.rho} and {other.rho}")
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=None, typed=True)
     def identity(rho: int) -> "Matrix":
-        if rho < 1:
-            raise ParseError("a matrix needs at least one row")
+        exact_int(rho, "matrix rank", at_least=1)
         return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(rho))
                                      for i in range(rho)))
 
     @staticmethod
     def zero(rho: int) -> "Matrix":
-        if rho < 1:
-            raise ParseError("a matrix needs at least one row")
+        exact_int(rho, "matrix rank", at_least=1)
         return Matrix._trusted(tuple((0,) * rho for _ in range(rho)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -88,19 +77,13 @@ class Matrix:
                                      for row in self.entries))
 
     def scale(self, c: int) -> "Matrix":
-        if type(c) is not int:
-            raise ParseError(f"matrix scale factor must be an integer, got {c!r}")
+        exact_int(c, "matrix scale factor")
         return Matrix._trusted(tuple(tuple(c * e for e in row) for row in self.entries))
 
     def __pow__(self, n: int) -> "Matrix":
         """Left-to-right binary powering: floor(log2 n) + popcount(n) - 1
         products for n >= 1."""
-        if type(n) is not int:
-            raise ParseError(f"matrix power needs an integer exponent, got {n!r}")
-        if n < 0:
-            raise ParseError(f"matrix power needs n >= 0, got {n}; "
-                             f"negative powers go through inverse_unimodular")
-        if n == 0:
+        if exact_int(n, "matrix power exponent", at_least=0) == 0:
             return Matrix.identity(self.rho)
         result = self
         for bit in bin(n)[3:]:
@@ -183,9 +166,7 @@ class UniPoly:
 
     @staticmethod
     def from_coeffs(coeffs) -> "UniPoly":
-        cs = list(coeffs)
-        if any(type(c) is not int for c in cs):
-            raise ParseError(f"polynomial coefficients must be integers, got {cs}")
+        cs = list(exact_ints(coeffs, "polynomial coefficient"))
         while cs and cs[-1] == 0:
             cs.pop()
         return UniPoly(tuple(cs))
@@ -245,10 +226,9 @@ def char_poly(m: Matrix) -> UniPoly:
     return UniPoly(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def euler_phi(d: int) -> int:
-    if d < 1:
-        raise ParseError(f"Euler's phi needs d >= 1, got {d}")
+    exact_int(d, "Euler's phi argument", at_least=1)
     result = d
     n = d
     p = 2
@@ -263,11 +243,10 @@ def euler_phi(d: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic(d: int) -> UniPoly:
     """d-th cyclotomic polynomial via exact division of x^d - 1."""
-    if d < 1:
-        raise ParseError(f"a cyclotomic polynomial needs d >= 1, got {d}")
+    exact_int(d, "cyclotomic order", at_least=1)
     poly = UniPoly.from_coeffs([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:
@@ -282,7 +261,7 @@ def quasi_unipotent_candidates(rho: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, 2 * rho * rho + 3) if euler_phi(d) <= rho)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def is_quasi_unipotent(m: Matrix) -> tuple[bool, int | None]:
     """Decide whether every eigenvalue of m is a root of unity.
 
@@ -314,12 +293,10 @@ def is_quasi_unipotent(m: Matrix) -> tuple[bool, int | None]:
     return True, lcm(*orders)
 
 
-@lru_cache(maxsize=256)
 def nilpotent_powers(n: Matrix) -> tuple[Matrix, ...]:
     """I, n, n^2, ... up to the last nonzero power of n, as a tuple.
 
-    Raises NotNilpotent when n^rho is not zero.  Memoized per process by
-    matrix value, like is_quasi_unipotent; NotNilpotent is not cached.
+    Raises NotNilpotent when n^rho is not zero.
     """
     powers = [Matrix.identity(n.rho)]
     power = n
@@ -331,6 +308,7 @@ def nilpotent_powers(n: Matrix) -> tuple[Matrix, ...]:
     return tuple(powers)
 
 
+@lru_cache(maxsize=256, typed=True)
 def strided_nilpotent_powers(m: Matrix, order: int) -> tuple[Matrix, ...]:
     """nilpotent_powers of m^order - I, the nilpotent part of the action
     strided by order.
@@ -338,32 +316,20 @@ def strided_nilpotent_powers(m: Matrix, order: int) -> tuple[Matrix, ...]:
     Raises ParseError unless order is an int >= 1, and NotNilpotent when
     m^order is not unipotent.  Memoized per process by (matrix, order), so
     the screen and the strided class of every system that shares an action
-    and its period take one power; the order is checked before the lookup,
-    since True and 1 are one key.
+    and its period take one power; the memo is typed, so a warm (m, 1)
+    entry does not answer (m, True), and errors are not cached.
     """
-    if type(order) is not int or order < 1:
-        raise ParseError(f"a stride must be an integer >= 1, got {order!r}")
-    return _strided_nilpotent_powers(m, order)
-
-
-@lru_cache(maxsize=256)
-def _strided_nilpotent_powers(m: Matrix, order: int) -> tuple[Matrix, ...]:
+    exact_int(order, "stride", at_least=1)
     return nilpotent_powers(m ** order - Matrix.identity(m.rho))
 
 
+@lru_cache(maxsize=256, typed=True)
 def strided_geometric_sum(m: Matrix, order: int) -> Matrix:
     """geometric_sum(m, order), the sum that strides a divisor by order.
 
     Raises ParseError unless order is an int >= 1. Memoized per process by
-    (matrix, order), like strided_nilpotent_powers, and checked before the
-    lookup for the same reason."""
-    if type(order) is not int or order < 1:
-        raise ParseError(f"a stride must be an integer >= 1, got {order!r}")
-    return _strided_geometric_sum(m, order)
-
-
-@lru_cache(maxsize=256)
-def _strided_geometric_sum(m: Matrix, order: int) -> Matrix:
+    (matrix, order), typed, like strided_nilpotent_powers."""
+    exact_int(order, "stride", at_least=1)
     return geometric_sum(m, order)
 
 
@@ -374,11 +340,7 @@ def nilpotency_degree(n: Matrix) -> int:
 
 def geometric_sum(m: Matrix, n: int) -> Matrix:
     """I + m + m^2 + ... + m^(n-1), by halving."""
-    if type(n) is not int:
-        raise ParseError(f"geometric sum needs an integer length, got {n!r}")
-    if n < 0:
-        raise ParseError(f"geometric sum needs n >= 0, got {n}")
-    if n == 0:
+    if exact_int(n, "geometric sum length", at_least=0) == 0:
         return Matrix.zero(m.rho)
     if n == 1:
         return Matrix.identity(m.rho)

@@ -15,15 +15,15 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotIntegerValued, ParseError
+from .errors import NotIntegerValued, ParseError, exact_int, exact_ints
 
 Exponents = tuple[int, ...]
 
 
 def binom_int(n: int, k: int) -> int:
     """C(n, k) for any integer n and k >= 0; for n < 0 it is (-1)^k C(k-n-1, k)."""
-    if k < 0:
-        raise ParseError(f"binomial coefficient needs k >= 0, got {k}")
+    exact_int(n, "binomial coefficient n")
+    exact_int(k, "binomial coefficient k", at_least=0)
     if n >= 0:
         return math.comb(n, k)
     return (-1) ** k * math.comb(k - n - 1, k)
@@ -34,13 +34,7 @@ def _expect_len(what: str, got: int, want: int) -> None:
         raise ParseError(f"{what}: got {got}, expected {want}")
 
 
-def _expect_int(what: str, value) -> None:
-    # scheme_model's _exact_int would be a circular import here
-    if type(value) is not int:
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-
-
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _mono_to_binom_row(e: int) -> tuple[int, ...]:
     """Coefficients of x^e in the basis C(x,0..e).
 
@@ -57,7 +51,7 @@ def _mono_to_binom_row(e: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _falling_row(k: int) -> tuple[int, ...]:
     """Monomial coefficients of x(x-1)...(x-k+1) = k! C(x,k), lowest first."""
     row = [1]
@@ -119,7 +113,7 @@ class MultiPoly:
     terms: dict[Exponents, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.nvars < 1:
+        if exact_int(self.nvars, "polynomial variable count") < 1:
             raise ParseError(f"a polynomial needs a variable, got nvars = {self.nvars}")
         # exponents and coefficients must be ints, bools excluded; one pass
         # over all of them, and a term-by-term look only to name a bad one
@@ -147,7 +141,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(nvars: int, c: int) -> "MultiPoly":
-        _expect_int("constant", c)
+        exact_int(c, "constant")
         return MultiPoly(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
@@ -160,13 +154,10 @@ class MultiPoly:
         """
         rational: dict[Exponents, int | Fraction] = {}
         for expts, coeff in dict(monomials).items():
-            _expect_len("monomial exponent count", len(expts), nvars)
-            if any(type(e) is not int or e < 0 for e in expts):
-                raise ParseError(f"monomial exponents must be integers >= 0, "
-                                 f"got {list(expts)}")
+            expts = exact_ints(expts, "monomial exponent", length=nvars, at_least=0)
             q = coeff if type(coeff) is int else Fraction(coeff)
             if q:
-                rational[tuple(expts)] = q
+                rational[expts] = q
         # clear the denominators, map x^e to its binomial row, divide back;
         # int coefficients have no denominator to clear
         integral = set(map(type, rational.values())) <= {int}
@@ -201,10 +192,7 @@ class MultiPoly:
         return {k: Fraction(c, den) for k, c in _change_basis(self.terms, rows).items()}
 
     def evaluate(self, point) -> int:
-        pt = tuple(point)
-        _expect_len("evaluation point length", len(pt), self.nvars)
-        for x in pt:
-            _expect_int("evaluation point entry", x)
+        pt = exact_ints(point, "evaluation point entry", length=self.nvars)
         if not self.terms:
             return 0
         # C(x_j, k) once per axis, for k up to the degree in x_j
@@ -247,7 +235,7 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     def scale(self, c: int) -> "MultiPoly":
-        _expect_int("scale factor", c)
+        exact_int(c, "scale factor")
         if c == 0:
             return MultiPoly.zero(self.nvars)
         return MultiPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
@@ -261,10 +249,7 @@ class MultiPoly:
 
     def shift(self, t) -> "MultiPoly":
         """The polynomial n -> self(n + t), exactly, via Vandermonde."""
-        tv = tuple(t)
-        _expect_len("shift vector length", len(tv), self.nvars)
-        for x in tv:
-            _expect_int("shift entry", x)
+        tv = exact_ints(t, "shift entry", length=self.nvars)
         out: dict[Exponents, int] = {}
         for key, coeff in self.terms.items():
             # C(n_i + t_i, k_i) = sum_j C(t_i, k_i - j) C(n_i, j)
@@ -429,7 +414,7 @@ def _sign_stable_threshold(coeffs: list[Fraction]) -> int:
     return t
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _binom_product_row(ms: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of prod_i C(t, m_i) in the basis C(t, 0..sum(ms)); the
     m's are sorted, so each multiset is built once."""
@@ -439,7 +424,7 @@ def _binom_product_row(ms: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row.get((m,), 0) for m in range(degree + 1))
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024, typed=True)
 def _vandermonde_rows(key: Exponents) -> tuple[tuple[Exponents, tuple[int, ...]], ...]:
     """(j, row) for every j <= key, with row the coefficients of
     prod_i C(t, k_i - j_i) in the basis C(t, 0..|key - j|).
@@ -527,9 +512,7 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
     certifies p, No certificates come from rays with entries in
     [1, search_bound] whose restriction has a negative leading coefficient.
     """
-    # scheme_model's _exact_int would be a circular import here
-    if type(search_bound) is not int or search_bound < 0:
-        raise ParseError(f"search bound must be an integer >= 0, got {search_bound!r}")
+    exact_int(search_bound, "search bound", at_least=0)
     s = p.nvars
     if p.is_zero():
         return PositivityResult("unknown", bound=search_bound)

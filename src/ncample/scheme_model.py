@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .errors import EmptyCone, ParseError
+from .errors import EmptyCone, ParseError, exact_int, exact_ints, int_tuple, strict_int
 from .numeric_polynomials import MultiPoly
 
 
@@ -26,17 +26,7 @@ class DivisorClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if any(type(c) is not int for c in self.coords):
-            raise ParseError(f"divisor class needs integer coordinates, got {self.coords}")
-
-    @staticmethod
-    def _trusted(coords: tuple[int, ...]) -> "DivisorClass":
-        """A class from coordinates already known to be a tuple of ints,
-        such as a document array read by _int_tuple; it skips the
-        __post_init__ check."""
-        c = object.__new__(DivisorClass)
-        object.__setattr__(c, "coords", coords)
-        return c
+        exact_ints(self.coords, "divisor coordinate")
 
     def __len__(self):
         return len(self.coords)
@@ -46,41 +36,6 @@ class DivisorClass:
 
     def __getitem__(self, i):
         return self.coords[i]
-
-
-def _strict_int(value, what: str) -> int:
-    """An int, or a string spelling one; bools, floats and anything else
-    raise ParseError instead of being truncated."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ParseError(f"{what} must be an integer, got {value!r}")
-
-
-_INT = {int}
-
-
-def _int_tuple(values, what: str) -> tuple[int, ...]:
-    """A document array as a tuple of ints. One type check passes an array
-    of ints (bools are not ints); any other array goes through _strict_int
-    entry by entry, which reads strings spelling ints and raises its
-    ParseError at the first bad entry."""
-    t = tuple(values)
-    if set(map(type, t)) == _INT:
-        return t
-    return tuple(_strict_int(v, what) for v in t)
-
-
-def _exact_int(value, what: str) -> int:
-    """A library argument that must already be an int; bools, floats,
-    strings and anything else raise ParseError instead of being truncated."""
-    if type(value) is not int:
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _rational(value) -> int | Fraction:
@@ -116,8 +71,8 @@ class NumericalScheme:
     @staticmethod
     def build(name, dim, rho, euler, cone, note="",
               interior_hint=None) -> "NumericalScheme":
-        dim = _strict_int(dim, "dim")
-        rho = _strict_int(rho, "rho")
+        dim = strict_int(dim, "dim")
+        rho = strict_int(rho, "rho")
         if dim < 0:
             raise ParseError(f"dim must be >= 0, got {dim}")
         if rho < 1:
@@ -128,7 +83,7 @@ class NumericalScheme:
             raise ParseError(
                 f"euler polynomial degree {euler.total_degree()} exceeds dim {dim}")
         try:
-            rows = tuple(_int_tuple(row, "ample cone entry") for row in cone)
+            rows = tuple(int_tuple(row, "ample cone entry") for row in cone)
         except TypeError as exc:
             raise ParseError(f"ample cone must be a list of rows: {exc}") from exc
         if not rows:
@@ -138,9 +93,7 @@ class NumericalScheme:
                 raise ParseError(f"cone row {row} has length {len(row)}, expected {rho}")
         interior = None
         if interior_hint is not None:
-            hint = tuple(interior_hint)
-            if len(hint) != rho or set(map(type, hint)) != _INT:
-                raise ParseError(f"interior hint {hint} must be {rho} integers")
+            hint = exact_ints(interior_hint, "interior hint entry", length=rho)
             if _strictly_positive(rows, hint):
                 interior = hint
         if interior is None:
@@ -306,10 +259,10 @@ def load_scheme(document) -> NumericalScheme:
         if key not in doc:
             raise ParseError(f"missing required member {key!r}")
     try:
-        rho = _strict_int(doc["rho"], "rho")
+        rho = strict_int(doc["rho"], "rho")
         monomials = {}
         for term in doc["euler"]:
-            expts = _int_tuple(term["exponents"], "euler exponent")
+            expts = int_tuple(term["exponents"], "euler exponent")
             if len(expts) != rho or any(e < 0 for e in expts):
                 raise ParseError(f"bad euler exponents {list(expts)}")
             monomials[expts] = monomials.get(expts, 0) + _rational(term["coeff"])
@@ -341,12 +294,11 @@ def _as_dict(document) -> dict:
     raise ParseError(f"cannot read a document from {type(document).__name__}")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def p1_power_scheme(d: int) -> NumericalScheme:
     """Product of d projective lines: dim d, rank d, counting product (n_i + 1).
     The model is immutable, so it is built once per d."""
-    if d < 1:
-        raise ParseError(f"a product of projective lines needs d >= 1, got {d}")
+    exact_int(d, "number of projective lines", at_least=1)
     # prod (C(n_i,1) + 1) expands to every 0/1 exponent with coefficient 1
     euler = MultiPoly(d, dict.fromkeys(itertools.product((0, 1), repeat=d), 1))
     cone = tuple(tuple(1 if j == i else 0 for j in range(d)) for i in range(d))

@@ -18,10 +18,10 @@ from operator import add
 
 from .bimodule_system import (Bimodule, BimoduleSystem, _check_classes_commute,
                               _read_bimodules, _twisted_walk, make_system)
-from .errors import DegreeMismatch, ParseError
+from .errors import (DegreeMismatch, ParseError, exact_int, exact_ints, int_tuple,
+                     strict_int)
 from .lattice_algebra import Matrix
-from .scheme_model import (DivisorClass, _exact_int, _rational, _strict_int,
-                           p1_power_scheme)
+from .scheme_model import DivisorClass, _rational, p1_power_scheme
 
 # A Moebius factor ((a, b), (c, d)) / den as the five integers
 # (a, b, c, d, den), with den > 0 and gcd(a, b, c, d, den) = 1, so equal
@@ -116,7 +116,7 @@ class FactorAutomorphism:
 
     @staticmethod
     def build(perm_1based, mobius_rows) -> "FactorAutomorphism":
-        perm = tuple(_exact_int(p, "perm entry") - 1 for p in perm_1based)
+        perm = tuple(p - 1 for p in exact_ints(perm_1based, "perm entry"))
         return FactorAutomorphism(perm, tuple(_mob(rows) for rows in mobius_rows))
 
     def _same_d(self, other: "FactorAutomorphism") -> None:
@@ -161,7 +161,7 @@ class FactorAutomorphism:
 
 def monomial_basis(multidegree) -> tuple[tuple[int, ...], ...]:
     """All exponent keys (e1, f1, ..., ed, fd) with e_k + f_k = a_k."""
-    degs = tuple(_exact_int(a, "multidegree entry") for a in multidegree)
+    degs = exact_ints(multidegree, "multidegree entry")
     if any(a < 0 for a in degs):
         return ()
     out = []
@@ -174,7 +174,7 @@ def monomial_basis(multidegree) -> tuple[tuple[int, ...], ...]:
 
 
 def section_space_dim(multidegree) -> int:
-    degs = tuple(_exact_int(a, "multidegree entry") for a in multidegree)
+    degs = exact_ints(multidegree, "multidegree entry")
     if any(a < 0 for a in degs):
         return 0
     result = 1
@@ -211,7 +211,7 @@ class MultiSection:
     den: int
 
     def __init__(self, multidegree, terms):
-        multidegree = tuple(_exact_int(a, "multidegree entry") for a in multidegree)
+        multidegree = exact_ints(multidegree, "multidegree entry")
         d = len(multidegree)
         places = _place_values(multidegree)
         codes = {}
@@ -223,12 +223,12 @@ class MultiSection:
                                  f"not a rational number")
             if not c:
                 raise ParseError(f"exponent key {key} has a zero coefficient")
+            # the exponents are packed into an int code
+            exact_ints(key, "exponent key entry", at_least=0)
             code = 0
             for k in range(d):
                 e, f = key[2 * k], key[2 * k + 1]
-                # the exponents are packed into an int code
-                if (type(e) is not int or type(f) is not int
-                        or e < 0 or f < 0 or e + f != multidegree[k]):
+                if e + f != multidegree[k]:
                     raise ParseError(f"exponent key {key} is not a monomial of "
                                      f"multidegree {multidegree}")
                 code += e * places[k]
@@ -325,7 +325,7 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _factor_images(g: Mob, a: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For e = 0..a, den^a x^e y^(a-e) pulled back along g: the pairs
     (i, coefficient of x^i y^(a-i)) of the integer form
@@ -404,9 +404,8 @@ class OracleRing:
     """Twisted multi-homogeneous section ring of a product of lines."""
 
     def __init__(self, d: int, pairs):
-        d = _exact_int(d, "d")
-        pairs = tuple((tuple(_exact_int(a, "degree entry") for a in deg), sigma)
-                      for deg, sigma in pairs)
+        d = exact_int(d, "d")
+        pairs = tuple((exact_ints(deg, "degree entry"), sigma) for deg, sigma in pairs)
         OracleRing._check_twists(d, pairs)
         self._adopt(d, pairs, make_system(
             p1_power_scheme(d), [(deg, sigma.lattice_matrix()) for deg, sigma in pairs]))
@@ -448,13 +447,6 @@ class OracleRing:
     def numerical_shadow(self) -> BimoduleSystem:
         return self._shadow
 
-    def _grade(self, n) -> tuple[int, ...]:
-        nv = tuple(n)
-        if len(nv) != self.s or any(type(x) is not int or x < 0 for x in nv):
-            raise ParseError(
-                f"grade {list(nv)} needs {self.s} nonnegative entries")
-        return nv
-
     @staticmethod
     def _walk(cache: dict, n: tuple[int, ...], step):
         """cache[n] for a valid grade n.  A missing grade is step(value,
@@ -475,7 +467,8 @@ class OracleRing:
 
     def twist_power(self, n) -> FactorAutomorphism:
         """sigma_1^{n_1} after ... after sigma_s^{n_s}, composed in order."""
-        return self._walk(self._twists, self._grade(n),
+        grade = exact_ints(n, "grade entry", length=self.s, at_least=0)
+        return self._walk(self._twists, grade,
                           lambda twist, a: twist.compose(self.pairs[a][1]))
 
     def _degree_step(self, walked, a: int):
@@ -497,7 +490,8 @@ class OracleRing:
         composes permutations the way FactorAutomorphism.compose does and
         moves a divisor the way lattice_matrix().apply does.
         """
-        return self._walk(self._degrees, self._grade(n), self._degree_step)[0]
+        grade = exact_ints(n, "grade entry", length=self.s, at_least=0)
+        return self._walk(self._degrees, grade, self._degree_step)[0]
 
     def graded_piece(self, n) -> GradedPiece:
         nv = tuple(n)
@@ -565,10 +559,8 @@ def opposite_check(ring: OracleRing, max_grade_entry: int = 4,
     grade-n power of the original automorphisms; the check is
     tau(a . b) = tau(b) * tau(a) on random homogeneous pairs, exactly.
     """
-    if _exact_int(max_grade_entry, "max grade entry") < 0:
-        raise ParseError(f"max grade entry must be at least 0, got {max_grade_entry}")
-    if _exact_int(samples, "opposite samples") < 0:
-        raise ParseError(f"opposite samples must be at least 0, got {samples}")
+    exact_int(max_grade_entry, "max grade entry", at_least=0)
+    exact_int(samples, "opposite samples", at_least=0)
     dual = ring.dual_ring()
     rng = random.Random(seed)
 
@@ -633,8 +625,7 @@ def hilbert_match(ring: OracleRing, sys: BimoduleSystem, upto: int) -> MatchRepo
     Grades whose expanded multidegree has a negative entry are skipped: there
     the section count and the signed count may legitimately differ.
     """
-    if _exact_int(upto, "grade range") < 1:
-        raise ParseError(f"grade range must be at least 1, got {upto}")
+    exact_int(upto, "grade range", at_least=1)
     checked = 0
     skipped = 0
     mismatches = []
@@ -661,8 +652,7 @@ def cross_validate(ring: OracleRing, sys: BimoduleSystem, *, grade_range: int,
     hexagon on `triple` unless it is None.  One seed drives both the
     triples and the opposite check.
     """
-    if _exact_int(samples, "samples") < 0:
-        raise ParseError(f"samples must be at least 0, got {samples}")
+    exact_int(samples, "samples", at_least=0)
     match = hilbert_match(ring, sys, grade_range)
     rng = random.Random(seed)
     failures = 0
@@ -702,9 +692,8 @@ def load_oracle(document) -> OracleRing:
         raise ParseError("document has no oracle member")
     member = document["oracle"]
     try:
-        d = _strict_int(member["d"], "d")
-        autos = [FactorAutomorphism.build(
-                     [_strict_int(p, "perm entry") for p in e["perm"]], e["mobius"])
+        d = strict_int(member["d"], "d")
+        autos = [FactorAutomorphism.build(int_tuple(e["perm"], "perm entry"), e["mobius"])
                  for e in member["automorphisms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed oracle member: {exc}") from exc

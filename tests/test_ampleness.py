@@ -104,7 +104,7 @@ class TestScreen:
         path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "swap-ring.json")
         with open(path, encoding="utf-8") as fh:
             system = load_system(fh.read())
-        lattice_algebra._strided_nilpotent_powers.cache_clear()
+        lattice_algebra.strided_nilpotent_powers.cache_clear()
         calls = []
         power = Matrix.__pow__
         monkeypatch.setattr(Matrix, "__pow__",
@@ -137,8 +137,7 @@ class TestScreenMemo:
     @staticmethod
     def count_char_polys(monkeypatch):
         lattice_algebra.is_quasi_unipotent.cache_clear()
-        lattice_algebra.nilpotent_powers.cache_clear()
-        lattice_algebra._strided_nilpotent_powers.cache_clear()
+        lattice_algebra.strided_nilpotent_powers.cache_clear()
         bimodule_system._strided_operators.cache_clear()
         calls = []
         real = lattice_algebra.char_poly
@@ -160,7 +159,7 @@ class TestScreenMemo:
         real = Matrix.__pow__
         monkeypatch.setattr(lattice_algebra.Matrix, "__pow__",
                             lambda m, n: powers.append((m, n)) or real(m, n))
-        strided = lattice_algebra._strided_nilpotent_powers
+        strided = lattice_algebra.strided_nilpotent_powers
         operators = bimodule_system._strided_operators
         # the screen and the strided class share one M^r per (matrix,
         # order), and the shear's s = 3 power tuple builds its operators once
@@ -177,7 +176,6 @@ class TestScreenMemo:
         quiet_verdict(golden_swap())
         assert powers.count((SWAP, 2)) == 1
         assert strided.cache_info().misses == 2
-        assert lattice_algebra.nilpotent_powers.cache_info().misses == 2
         assert operators.cache_info().misses == 3
 
     def test_every_shared_action_warns(self):

@@ -51,6 +51,14 @@ def test_every_memo_is_bounded():
     assert unbounded == sorted(UNBOUNDED)
 
 
+def test_every_memo_is_typed():
+    # a typed memo keys True apart from 1 and 2.0 apart from 2, so an
+    # integer check inside it runs for every argument that is not an int
+    untyped = sorted(name for name, fn in cached_functions().items()
+                     if not fn.cache_parameters()["typed"])
+    assert untyped == []
+
+
 def test_reports_equal_with_memos_cold_and_warm():
     # a memo keyed by values must not change an answer: every data/
     # document's verdict and gk report is the same from cold memos and warm

@@ -198,7 +198,8 @@ class TestNilpotency:
 
 
 class TestMemo:
-    """is_quasi_unipotent and nilpotent_powers are memoized by matrix value."""
+    """is_quasi_unipotent is memoized by matrix value, and the strided
+    nilpotent powers by (matrix, order)."""
 
     def test_one_decision_per_matrix_value(self, monkeypatch):
         is_quasi_unipotent.cache_clear()
@@ -215,7 +216,7 @@ class TestMemo:
         for result in (is_quasi_unipotent(ROT4), nilpotent_powers(nilpotent),
                        strided_nilpotent_powers(ROT4, 4)):
             assert type(result) is tuple
-        assert nilpotent_powers(nilpotent) is nilpotent_powers(nilpotent)
+        assert strided_nilpotent_powers(UPPER, 1) is strided_nilpotent_powers(UPPER, 1)
         assert strided_nilpotent_powers(UPPER, 3) is strided_nilpotent_powers(UPPER, 3)
         assert strided_nilpotent_powers(UPPER, 3) == nilpotent_powers(nilpotent.scale(3))
 

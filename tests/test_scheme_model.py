@@ -516,6 +516,26 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
                                            ((1, 0), (1, 1)), interior_hint=(1,)),
              lambda: NumericalScheme.build("x", 2, 2, MultiPoly(2, {(0, 0): 1}),
                                            ((1, 0), (0, 1)), interior_hint=(True, True)),
+             # int arguments checked by one helper, also inside the typed
+             # memos, where a warm int entry must not answer for a bool
+             lambda: MultiPoly(1.5, {}),
+             lambda: MultiPoly(True, {}),
+             lambda: MultiPoly.zero(2.5),
+             lambda: Matrix.identity(True),
+             lambda: Matrix.identity(2.0),
+             lambda: (Matrix.identity(1), Matrix.identity(True)),
+             lambda: Matrix.zero(True),
+             lambda: Matrix.zero(1.5),
+             lambda: cyclotomic(True),
+             lambda: cyclotomic(2.0),
+             lambda: (cyclotomic(1), cyclotomic(True)),
+             lambda: euler_phi(2.5),
+             lambda: euler_phi(True),
+             lambda: (euler_phi(1), euler_phi(True)),
+             lambda: binom_int(2.5, 1),
+             lambda: binom_int(3, 1.5),
+             lambda: p1_power_scheme(1.5),
+             lambda: (p1_power_scheme(1), p1_power_scheme(True)),
              # document arrays: the cases of ARRAY_ERRORS, in order
              lambda: load_scheme(dict(pp, euler=[{"coeff": "1", "exponents": [1, True]}])),
              lambda: load_scheme(dict(pp, euler=[{"coeff": "1", "exponents": [1, 0.0]}])),
@@ -560,5 +580,5 @@ ARRAY_ERRORS = [
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
     lines = run_python("-O", "-c", _BAD_SCHEMES).splitlines()
-    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 101
+    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 119
     assert lines[-len(ARRAY_ERRORS):] == [f"ParseError: {m}" for m in ARRAY_ERRORS]

@@ -790,6 +790,15 @@ for call in (lambda: swap_ring.graded_multidegree((-2,)),
              lambda: opposite_check(pair_ring, max_grade_entry=1.5),
              lambda: opposite_check(pair_ring, samples=1.5),
              lambda: cross_validate(pair_ring, pair_sys, grade_range=1, samples=1.5,
+                                    opposite_samples=0, seed=0, triple=None),
+             # bools are not ints for any of the one-call checks
+             lambda: OracleRing(True, [((1,), ident)]),
+             lambda: FactorAutomorphism.build([True], [one]),
+             lambda: monomial_basis((True,)),
+             lambda: section_space_dim((1, True)),
+             lambda: hilbert_match(pair_ring, pair_sys, True),
+             lambda: opposite_check(pair_ring, samples=True),
+             lambda: cross_validate(pair_ring, pair_sys, grade_range=1, samples=True,
                                     opposite_samples=0, seed=0, triple=None)):
     try:
         print(call())
@@ -806,4 +815,4 @@ for doc in DOCUMENTS:
 def test_bad_arguments_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
     assert run_optimized(_BAD_ARGUMENTS) == \
-        ["ParseError"] * 43 + [error.__name__ for _, error, _ in BAD_ORACLE_DOCUMENTS]
+        ["ParseError"] * 50 + [error.__name__ for _, error, _ in BAD_ORACLE_DOCUMENTS]
