@@ -167,14 +167,16 @@ def _cmd_validate(args, report) -> int:
     return 0
 
 
-def _search_bound(args) -> int:
-    if args.bound < 0:
-        raise ParseError(f"--bound must be >= 0, got {args.bound}")
-    return args.bound
+def _flag(flag: str, what: str, value: int, at_least: int) -> int:
+    """A flag's integer value, or a ParseError naming the flag when it is
+    below at_least."""
+    if value < at_least:
+        raise ParseError(f"{flag}: {what} must be an integer >= {at_least}, got {value}")
+    return value
 
 
 def _cmd_verdict(args, report) -> int:
-    bound = _search_bound(args)
+    bound = _flag("--bound", "search bound", args.bound, 0)
     doc, meta = _load_input(args.input, args.scheme)
     report["input"] = meta
     system = bs.load_system(doc)
@@ -187,7 +189,7 @@ def _cmd_verdict(args, report) -> int:
 
 
 def _cmd_gk(args, report) -> int:
-    bound = _search_bound(args)
+    bound = _flag("--bound", "search bound", args.bound, 0)
     doc, meta = _load_input(args.input, args.scheme)
     report["input"] = meta
     system = bs.load_system(doc)
@@ -225,7 +227,8 @@ def _cmd_constructor(args, report) -> int:
     if args.command == "dual":
         built = bs.dual(system)
     elif args.command == "veronese":
-        strides = _parse_vector(args.strides, expect_len=system.s)
+        strides = [_flag("--strides", "stride", n, 1)
+                   for n in _parse_vector(args.strides, expect_len=system.s)]
         built = bs.veronese(system, strides)
     else:
         built = bs.rees(system)
@@ -262,8 +265,8 @@ def _cmd_oracle_compare(args, report) -> int:
     system = bs.load_system(doc)
     ring = load_oracle(doc)
     payload = cross_validate(
-        ring, system, grade_range=args.grade_range, samples=50,
-        opposite_samples=25, seed=args.seed,
+        ring, system, grade_range=_flag("--range", "grade range", args.grade_range, 1),
+        samples=50, opposite_samples=25, seed=args.seed,
         triple=(0, 1, 2) if ring.s >= 3 else None)
     report["payload"] = payload
     return 0 if payload["ok"] else 1

@@ -113,15 +113,11 @@ class MultiPoly:
     terms: dict[Exponents, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if exact_int(self.nvars, "polynomial variable count") < 1:
-            raise ParseError(f"a polynomial needs a variable, got nvars = {self.nvars}")
-        # exponents and coefficients must be ints, bools excluded; one pass
-        # over all of them, and a term-by-term look only to name a bad one
-        typed = set(map(type, itertools.chain(itertools.chain.from_iterable(self.terms),
-                                              self.terms.values()))) <= {int}
+        exact_int(self.nvars, "polynomial variable count", at_least=1)
+        exact_ints(itertools.chain.from_iterable(self.terms), "polynomial exponent", at_least=0)
+        exact_ints(self.terms.values(), "polynomial coefficient")
         for k, c in self.terms.items():
-            if (len(k) != self.nvars or not typed and {type(c), *map(type, k)} != {int}
-                    or min(k) < 0 or not c):
+            if len(k) != self.nvars or not c:
                 raise ParseError(f"bad term {c!r} at exponents {k} in {self.nvars} variables")
 
     @staticmethod
@@ -176,34 +172,28 @@ class MultiPoly:
                 raise NotIntegerValued(key, Fraction(terms[key], den))
         return MultiPoly(nvars, {k: c // den for k, c in terms.items()})
 
-    def to_monomials(self) -> dict[Exponents, Fraction]:
-        """The monomial coefficients {exponents: rational}.
+    def _monomial_numerators(self) -> tuple[int, dict[Exponents, int]]:
+        """(den, numerators): the monomial coefficients are numerators[k] / den,
+        with den > 0 and numerators free of zeros.
 
         On an axis of degree d the basis changes through the integer rows
-        d!/k! * x(x-1)...(x-k+1) = d! C(x,k), so only the final division by
-        the product of the d! is rational.
+        d!/k! * x(x-1)...(x-k+1) = d! C(x,k), and den is the product of the d!.
         """
         if not self.terms:
-            return {}
+            return 1, {}
         degrees = [self.degree_in(j) for j in range(self.nvars)]
         rows = [[tuple(c * (math.factorial(d) // math.factorial(k)) for c in _falling_row(k))
                  for k in range(d + 1)] for d in degrees]
-        den = math.prod(map(math.factorial, degrees))
-        return {k: Fraction(c, den) for k, c in _change_basis(self.terms, rows).items()}
+        return math.prod(map(math.factorial, degrees)), _change_basis(self.terms, rows)
+
+    def to_monomials(self) -> dict[Exponents, Fraction]:
+        """The monomial coefficients {exponents: rational}."""
+        den, numerators = self._monomial_numerators()
+        return {k: Fraction(c, den) for k, c in numerators.items()}
 
     def evaluate(self, point) -> int:
         pt = exact_ints(point, "evaluation point entry", length=self.nvars)
-        if not self.terms:
-            return 0
-        # C(x_j, k) once per axis, for k up to the degree in x_j
-        tables = [[binom_int(x, k) for k in range(d + 1)]
-                  for x, d in zip(pt, map(max, zip(*self.terms)))]
-        total = 0
-        for key, c in self.terms.items():
-            for table, k in zip(tables, key):
-                c *= table[k]
-            total += c
-        return total
+        return _values(self, [(x,) for x in pt])[0]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -248,26 +238,12 @@ class MultiPoly:
                                                                   _values(other, coords))])
 
     def shift(self, t) -> "MultiPoly":
-        """The polynomial n -> self(n + t), exactly, via Vandermonde."""
+        """The polynomial n -> self(n + t), exactly."""
         tv = exact_ints(t, "shift entry", length=self.nvars)
-        out: dict[Exponents, int] = {}
-        for key, coeff in self.terms.items():
-            # C(n_i + t_i, k_i) = sum_j C(t_i, k_i - j) C(n_i, j)
-            rows = []
-            for t_i, k_i in zip(tv, key):
-                rows.append(tuple(binom_int(t_i, k_i - j) for j in range(k_i + 1)))
-            for newkey in itertools.product(*(range(len(r)) for r in rows)):
-                weight = coeff
-                for r, j in zip(rows, newkey):
-                    weight *= r[j]
-                if not weight:
-                    continue
-                c = out.get(newkey, 0) + weight
-                if c:
-                    out[newkey] = c
-                elif newkey in out:
-                    del out[newkey]
-        return MultiPoly(self.nvars, out)
+        return _interpolate([max(self.degree_in(j), 0) for j in range(self.nvars)],
+                            max(self.total_degree(), 0),
+                            lambda coords: _values(self, [[x + t_j for x in column]
+                                                          for column, t_j in zip(coords, tv)]))
 
     def to_json(self) -> dict:
         return {
@@ -393,25 +369,22 @@ def compose(outer: MultiPoly, inner) -> MultiPoly:
                         lambda coords: _values(outer, [_values(a, coords) for a in args]))
 
 
-def _restrict_to_ray(p: MultiPoly, base, direction) -> list[Fraction]:
-    """Monomial coefficients (lowest first) of t -> p(base + t*direction)."""
-    ray = compose(p, [MultiPoly._trusted(1, {k: c for k, c in (((0,), b), ((1,), v)) if c})
-                      for b, v in zip(base, direction)])
-    mono = ray.to_monomials()
-    return [mono.get((e,), Fraction(0)) for e in range(max(ray.total_degree(), 0) + 1)]
+def _restrict_to_ray(p: MultiPoly, base, direction) -> tuple[int, list[int]]:
+    """(den, numerators): t -> p(base + t*direction) has the monomial
+    coefficients numerators[e] / den, lowest first, with den > 0."""
+    degree = p.total_degree()
+    ray = _interpolate((degree,), degree, lambda coords: _values(
+        p, [[b + v * t for t in coords[0]] for b, v in zip(base, direction)]))
+    den, numerators = ray._monomial_numerators()
+    return den, [numerators.get((e,), 0) for e in range(max(ray.total_degree(), 0) + 1)]
 
 
-def _sign_stable_threshold(coeffs: list[Fraction]) -> int:
-    """t beyond which the polynomial has the sign of its leading coefficient."""
-    lead = coeffs[-1]
+def _sign_stable_threshold(coeffs: list[int]) -> int:
+    """t beyond which the polynomial has the sign of its leading coefficient:
+    1 + max |c / lead| over the lower coefficients, rounded up."""
+    lead = abs(coeffs[-1])
     assert lead != 0
-    if len(coeffs) == 1:
-        return 1
-    worst = max(abs(c / lead) for c in coeffs[:-1])
-    t = 1 + int(worst)
-    if Fraction(t) < 1 + worst:
-        t += 1
-    return t
+    return 1 + max((-(-abs(c) // lead) for c in coeffs[:-1]), default=0)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -531,7 +504,7 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
                    for k, c in top.items())
         if lead > 0:
             continue
-        coeffs = _restrict_to_ray(p, origin, v)
+        _, coeffs = _restrict_to_ray(p, origin, v)
         if coeffs[-1] < 0:
             return PositivityResult("no", base=origin, direction=v,
                                     threshold=_sign_stable_threshold(coeffs))
@@ -541,7 +514,7 @@ def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:
         if base == origin:
             continue
         for v in degenerate:
-            coeffs = _restrict_to_ray(p, base, v)
+            _, coeffs = _restrict_to_ray(p, base, v)
             if coeffs[-1] < 0:
                 return PositivityResult("no", base=base, direction=v,
                                         threshold=_sign_stable_threshold(coeffs))

@@ -21,6 +21,7 @@ from .bimodule_system import (Bimodule, BimoduleSystem, _check_classes_commute,
 from .errors import (DegreeMismatch, ParseError, exact_int, exact_ints, int_tuple,
                      strict_int)
 from .lattice_algebra import Matrix
+from .numeric_polynomials import _values
 from .scheme_model import DivisorClass, _rational, p1_power_scheme
 
 # A Moebius factor ((a, b), (c, d)) / den as the five integers
@@ -626,20 +627,19 @@ def hilbert_match(ring: OracleRing, sys: BimoduleSystem, upto: int) -> MatchRepo
     the section count and the signed count may legitimately differ.
     """
     exact_int(upto, "grade range", at_least=1)
-    checked = 0
     skipped = 0
-    mismatches = []
+    grades, dims, classes = [], [], []
     for n, coords, _ in _twisted_walk(sys, [range(1, upto + 1)] * ring.s):
         deg = ring.graded_multidegree(n)
         if any(a < 0 for a in deg):
             skipped += 1
             continue
-        checked += 1
-        dim = section_space_dim(deg)
-        expected = sys.scheme.euler_at(coords)
-        if dim != expected:
-            mismatches.append((n, dim, expected))
-    return MatchReport(checked, skipped, tuple(mismatches))
+        grades.append(n)
+        dims.append(section_space_dim(deg))
+        classes.append(coords)
+    expected = _values(sys.scheme.euler, list(zip(*classes))) if classes else []
+    mismatches = tuple((n, dim, e) for n, dim, e in zip(grades, dims, expected) if dim != e)
+    return MatchReport(len(grades), skipped, mismatches)
 
 
 def cross_validate(ring: OracleRing, sys: BimoduleSystem, *, grade_range: int,

@@ -295,8 +295,10 @@ class TestConstructorPipelines:
         assert run(["validate", out])[0] == 0
 
     def test_veronese_bad_stride(self):
-        code, _ = run(["veronese", data("p1-O1.json"), "--strides", "0"])
+        code, report = run(["veronese", data("p1-O1.json"), "--strides", "0"])
         assert code == 1
+        assert report["payload"]["error"] == \
+            "--strides: stride must be an integer >= 1, got 0"
 
 
 # The rendered monomial forms of the gk certificates and emitted documents,
@@ -410,6 +412,7 @@ class TestOracleCompare:
                                 "--range", bad])
             assert code == 1, bad
             assert "grade range" in report["payload"]["error"]
+            assert report["payload"]["error"].startswith("--range: ")
 
 
 class TestReportShape:

@@ -106,12 +106,13 @@ class TestMultiPoly:
             assert prod.evaluate(pt) == (pt[0] + 1) * (pt[1] + 1)
 
     @settings(max_examples=60)
-    @given(small_polys(2),
-           st.tuples(st.integers(min_value=0, max_value=4),
-                     st.integers(min_value=0, max_value=4)))
-    def test_shift_pointwise(self, p, t):
+    @given(st.integers(min_value=2, max_value=3).flatmap(lambda s: st.tuples(
+        small_polys(s), st.tuples(*[st.integers(min_value=-4, max_value=4)] * s))))
+    def test_shift_pointwise(self, case):
+        p, t = case
         shifted = p.shift(t)
-        for pt in itertools.product(range(0, 5), repeat=2):
+        assert MultiPoly(p.nvars, dict(shifted.terms)) == shifted
+        for pt in itertools.product(range(-2, 4), repeat=p.nvars):
             moved = tuple(x + y for x, y in zip(pt, t))
             assert shifted.evaluate(pt) == p.evaluate(moved)
 
@@ -447,12 +448,65 @@ class TestAgainstFractionAlgebra:
                 diff = MultiPoly(s, {(1, 0, 0)[:s]: 1, (0, 1, 0)[:s]: -1})
                 p = diff * random_poly(rng, s, degree=2)
                 base[1], v[1] = base[0], v[0]
-            got = _restrict_to_ray(p, base, v)
+            den, numerators = _restrict_to_ray(p, base, v)
+            got = [Fraction(c, den) for c in numerators]
             assert got == monomial_restrict_to_ray(fraction_to_monomials(p), base, v), \
                 (p.terms, base, v)
             zero += got == [0]
             away += any(base)
         assert zero > 20 and away > 200
+
+
+def fraction_sign_stable_threshold(coeffs: list[Fraction]) -> int:
+    """The ray threshold as it was computed in Fraction (the reference)."""
+    lead = coeffs[-1]
+    if len(coeffs) == 1:
+        return 1
+    worst = max(abs(c / lead) for c in coeffs[:-1])
+    t = 1 + int(worst)
+    if Fraction(t) < 1 + worst:
+        t += 1
+    return t
+
+
+class TestSignStableThreshold:
+    def test_matches_fraction_reference(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            coeffs = [rng.randint(-40, 40) for _ in range(rng.randint(0, 5))]
+            coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 12))
+            den = rng.randint(1, 24)
+            assert numeric_polynomials._sign_stable_threshold(coeffs) == \
+                fraction_sign_stable_threshold([Fraction(c, den) for c in coeffs]), coeffs
+
+    def test_corpus_ray_witnesses(self):
+        # every negative ray a duality-corpus verdict search finds, against
+        # the Fraction restriction and threshold
+        witnesses = 0
+        for p in (p for sys in duality_corpus() for p in searched_functionals(sys)):
+            res = eventually_positive(p, 16)
+            if not res.is_no:
+                continue
+            coeffs = monomial_restrict_to_ray(fraction_to_monomials(p), res.base,
+                                              res.direction)
+            assert res.threshold == fraction_sign_stable_threshold(coeffs), p.terms
+            witnesses += 1
+        assert witnesses > 500
+
+    def test_verdicts_build_no_fraction(self, monkeypatch):
+        # once the documents are loaded, no verdict builds a Fraction, the
+        # p1-L-Linv ray witness included
+        systems = {name: _data_system(name) for name in sorted(os.listdir(DATA))}
+        built = []
+        monkeypatch.setattr(numeric_polynomials, "Fraction",
+                            lambda *args: built.append(args) or Fraction(*args))
+        witnesses = {}
+        for name, system in systems.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                witnesses[name] = nc_ample_verdict(system).to_json().get("witness")
+        assert witnesses["p1-L-Linv.json"]["threshold"] == 1
+        assert built == []
 
 
 class TestEventuallyPositive:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -11,13 +12,16 @@ from hypothesis import strategies as st
 
 from corpus import run_optimized
 from ncample.bimodule_system import dual as numeric_dual
-from ncample.bimodule_system import make_system, system_to_document
+from ncample.bimodule_system import (BimoduleSystem, class_at, load_system, make_system,
+                                     system_to_document)
 from ncample import section_oracle
 from ncample.errors import ClassCommutationFail, DegreeMismatch, ParseError
 from ncample.lattice_algebra import Matrix
+from ncample.numeric_polynomials import MultiPoly
 from ncample.scheme_model import p1_power_scheme
 from ncample.section_oracle import (
     FactorAutomorphism,
+    MatchReport,
     MultiSection,
     OracleRing,
     bergman_check,
@@ -294,6 +298,22 @@ class TestRingStructure:
             OracleRing(1, [((1,), rot), ((1,), par)])
 
 
+def per_grade_hilbert_match(ring, sys, upto):
+    """hilbert_match with the Euler polynomial evaluated grade by grade
+    (the reference)."""
+    skipped = 0
+    checked = []
+    for n in itertools.product(range(1, upto + 1), repeat=ring.s):
+        deg = ring.graded_multidegree(n)
+        if any(a < 0 for a in deg):
+            skipped += 1
+        else:
+            checked.append((n, section_space_dim(deg),
+                            sys.scheme.euler_at(class_at(sys, n))))
+    return MatchReport(len(checked), skipped,
+                       tuple(case for case in checked if case[1] != case[2]))
+
+
 class TestCrossValidation:
     def test_hilbert_match_all_rings(self):
         for make in ALL_RINGS:
@@ -301,6 +321,29 @@ class TestCrossValidation:
             rep = hilbert_match(ring, ring.numerical_shadow(), 4)
             assert rep.ok, (make.__name__, rep.to_json())
             assert rep.checked == 4 ** ring.s
+
+    def test_hilbert_match_against_per_grade_euler(self):
+        # skipped grades, and wrong Euler coefficients that miss some grades
+        # or all of them, in walk order
+        ident = FactorAutomorphism.identity(2)
+        skipping = OracleRing(2, [((1, -1), ident), ((-1, 2), ident)])
+        cases = [(make(), make().numerical_shadow()) for make in ALL_RINGS]
+        cases += [(load_oracle(doc), load_system(doc)) for _, doc in oracle_documents()]
+        cases.append((skipping, skipping.numerical_shadow()))
+        for make in (swap_ring, mixed_triple_ring):
+            ring = make()
+            shadow = ring.numerical_shadow()
+            euler = shadow.scheme.euler
+            wrong = dataclasses.replace(shadow.scheme, euler=MultiPoly(
+                euler.nvars, {**euler.terms, (2, 0): 1}))
+            cases.append((ring, BimoduleSystem(wrong, shadow.bimodules)))
+        for ring, sys in cases:
+            for upto in (1, 4):
+                assert hilbert_match(ring, sys, upto) == \
+                    per_grade_hilbert_match(ring, sys, upto)
+        assert hilbert_match(*cases[-3], 4).skipped == 8
+        assert [m[0] for m in hilbert_match(*cases[-2], 4).mismatches] == [(3,), (4,)]
+        assert len(hilbert_match(*cases[-1], 4).mismatches) == 64
 
     def test_opposite_all_rings(self):
         for make in ALL_RINGS:
