@@ -16,7 +16,7 @@ from operator import add, mul
 from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
                      NonInvertible, NotNilpotent, ParseError, UnipotentRequired,
                      exact_ints, int_tuple)
-from .lattice_algebra import (Matrix, geometric_sum, strided_geometric_sum,
+from .lattice_algebra import (Matrix, _check_square, geometric_sum, strided_geometric_sum,
                              strided_nilpotent_powers)
 from .numeric_polynomials import MultiPoly
 from .scheme_model import DivisorClass, NumericalScheme, _as_dict, as_coords, load_scheme
@@ -221,12 +221,14 @@ def branch_class_polys(sys: BimoduleSystem, periods) -> dict[
 # constructors
 
 def dual(sys: BimoduleSystem) -> BimoduleSystem:
-    """Side-swapped system: divisor and action transported through the inverse."""
+    """Side-swapped system: divisor and action transported through the inverse;
+    it needs no re-check: inverses of commuting unimodular actions are, and
+    the classes commute as section_oracle's dual_ring shows."""
     bims = []
     for bim in sys.bimodules:
         inv = bim.action.inverse_unimodular()
         bims.append(Bimodule(DivisorClass(inv.apply(bim.divisor.coords)), inv, bim.star))
-    return BimoduleSystem(sys.scheme, tuple(bims))
+    return BimoduleSystem._trusted(sys.scheme, tuple(bims))
 
 
 def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
@@ -244,22 +246,25 @@ def veronese(sys: BimoduleSystem, n) -> BimoduleSystem:
 
 
 def combined_single(sys: BimoduleSystem, n) -> BimoduleSystem:
-    """Collapse the n-fold product to a single twisted divisor."""
+    """Collapse the n-fold product to a single twisted divisor; it needs no
+    re-check: a product of unimodular actions is, and one bundle has no pair."""
     _, coords, action = next(_twisted_walk(sys, [(x,) for x in n]))
     star = any(b.star for b in sys.bimodules)
-    return BimoduleSystem(sys.scheme, (Bimodule(DivisorClass(coords), action, star),))
+    return BimoduleSystem._trusted(sys.scheme, (Bimodule(DivisorClass(coords), action, star),))
 
 
 def rees(sys: BimoduleSystem) -> BimoduleSystem:
-    """Duplicate the single bimodule, modeling the one-variable extension."""
+    """Duplicate the single bimodule, modeling the one-variable extension; it
+    needs no re-check: a bundle commutes with itself."""
     if sys.s != 1:
         raise ArityError(f"rees needs exactly one bimodule, got {sys.s}")
     bim = sys.bimodules[0]
-    return BimoduleSystem(sys.scheme, (bim, bim))
+    return BimoduleSystem._trusted(sys.scheme, (bim, bim))
 
 
 def product(sys_x: BimoduleSystem, sys_y: BimoduleSystem) -> BimoduleSystem:
-    """Block system on the product model over the direct-sum sublattice."""
+    """Block system on the product model over the direct-sum sublattice; it needs
+    no re-check: block actions commute and fix the other system's classes."""
     sx, sy = sys_x.scheme, sys_y.scheme
     rho = sx.rho + sy.rho
     euler_terms = {}
@@ -281,14 +286,14 @@ def product(sys_x: BimoduleSystem, sys_y: BimoduleSystem) -> BimoduleSystem:
         div = (0,) * sx.rho + bim.divisor.coords
         action = _block_diag(Matrix.identity(sx.rho), bim.action)
         bims.append(Bimodule(DivisorClass(div), action, bim.star))
-    return BimoduleSystem(scheme, tuple(bims))
+    return BimoduleSystem._trusted(scheme, tuple(bims))
 
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     na, nb = a.rho, b.rho
     rows = [tuple(row) + (0,) * nb for row in a.entries]
     rows += [(0,) * na + tuple(row) for row in b.entries]
-    return Matrix.from_rows(rows)
+    return Matrix._trusted(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,8 @@ def _read_bimodules(doc: dict) -> tuple[Bimodule, ...]:
     try:
         return tuple(
             Bimodule(DivisorClass(int_tuple(entry["divisor"], "divisor entry")),
-                     Matrix(tuple(int_tuple(row, "matrix entry") for row in entry["matrix"])),
+                     Matrix._trusted(_check_square(tuple(
+                         int_tuple(row, "matrix entry") for row in entry["matrix"]))),
                      _strict_bool(entry.get("star", False), "star flag"))
             for entry in doc["bimodules"])
     except (TypeError, KeyError) as exc:

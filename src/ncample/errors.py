@@ -32,10 +32,12 @@ def strict_int(value, what: str) -> int:
 
 
 def int_tuple(values, what: str) -> tuple[int, ...]:
-    """A document array as a tuple of ints. One type check passes an array
-    of ints; any other array goes through strict_int entry by entry, which
-    reads strings spelling ints and raises its ParseError at the first bad
-    entry."""
+    """A document array, a list or a tuple, as a tuple of ints. One type
+    check passes an array of ints; any other array goes through strict_int
+    entry by entry, which reads strings spelling ints and raises its
+    ParseError at the first bad entry."""
+    if not isinstance(values, (list, tuple)):
+        raise ParseError(f"expected a JSON array of integers for {what}, got {values!r}")
     t = tuple(values)
     if set(map(type, t)) == _INT:
         return t

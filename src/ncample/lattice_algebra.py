@@ -148,7 +148,7 @@ class Matrix:
                                      for i in range(n)))
 
 
-def _check_square(entries) -> None:
+def _check_square(entries):
     n = len(entries)
     if n == 0:
         raise ParseError("a matrix needs at least one row")
@@ -156,6 +156,7 @@ def _check_square(entries) -> None:
         if len(row) != n:
             raise ParseError(f"matrix must be square, got a row of length "
                              f"{len(row)} in {n} rows")
+    return entries
 
 
 @dataclass(frozen=True)

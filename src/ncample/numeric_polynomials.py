@@ -88,13 +88,15 @@ def _values(p: "MultiPoly", coords) -> list[int]:
     every point.
 
     C(x_j, k) is computed once per axis and point, for k up to p's degree
-    in x_j, and the terms are contracted one axis at a time, last axis
-    first, on vectors over the points.
+    in x_j, as C(x, k + 1) = C(x, k) (x - k) / (k + 1), exact on ints, and
+    the terms are contracted axis by axis, last first, over the points.
     """
     npoints = len(coords[0])
     level = {key: [c] * npoints for key, c in p.terms.items()}
     for j in reversed(range(p.nvars)):
-        column = [[binom_int(x, k) for x in coords[j]] for k in range(p.degree_in(j) + 1)]
+        column = [[1] * npoints]
+        for k in range(p.degree_in(j)):
+            column.append([c * (x - k) // (k + 1) for c, x in zip(column[-1], coords[j])])
         out: dict[Exponents, list[int]] = {}
         for key, vec in level.items():
             head = key[:-1]

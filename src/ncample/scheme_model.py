@@ -71,6 +71,9 @@ class NumericalScheme:
     @staticmethod
     def build(name, dim, rho, euler, cone, note="",
               interior_hint=None) -> "NumericalScheme":
+        for what, text in (("name", name), ("note", note)):
+            if not isinstance(text, str):
+                raise ParseError(f"{what} must be a string, got {text!r}")
         dim = strict_int(dim, "dim")
         rho = strict_int(rho, "rho")
         if dim < 0:
@@ -98,7 +101,7 @@ class NumericalScheme:
                 interior = hint
         if interior is None:
             interior = _find_interior_point(rows, rho)
-        return NumericalScheme(str(name), dim, rho, euler, rows, interior, str(note))
+        return NumericalScheme(name, dim, rho, euler, rows, interior, note)
 
     def is_ample(self, c) -> bool:
         """Strict positivity of every cone functional at the class c."""

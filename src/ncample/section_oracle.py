@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import add
 
 from .bimodule_system import (Bimodule, BimoduleSystem, _check_classes_commute,
-                              _read_bimodules, _twisted_walk, make_system)
+                              _read_bimodules, _twisted_walk)
 from .errors import (DegreeMismatch, ParseError, exact_int, exact_ints, int_tuple,
                      strict_int)
 from .lattice_algebra import Matrix
@@ -146,7 +146,7 @@ class FactorAutomorphism:
             row = [0] * self.d
             row[self.perm.index(j)] = 1
             rows.append(tuple(row))
-        return Matrix.from_rows(rows)
+        return Matrix._trusted(tuple(rows))
 
     def commutes_projectively(self, other: "FactorAutomorphism") -> bool:
         """Whether self after other and other after self permute alike and
@@ -405,22 +405,31 @@ class OracleRing:
     """Twisted multi-homogeneous section ring of a product of lines."""
 
     def __init__(self, d: int, pairs):
+        """Checks each fact once: the twists on d factors and commuting
+        projectively, and the classes pairwise; the permutation actions have
+        det +-1 and commute where the twists' composite permutations agree."""
         d = exact_int(d, "d")
         pairs = tuple((exact_ints(deg, "degree entry"), sigma) for deg, sigma in pairs)
-        OracleRing._check_twists(d, pairs)
-        self._adopt(d, pairs, make_system(
-            p1_power_scheme(d), [(deg, sigma.lattice_matrix()) for deg, sigma in pairs]))
+        self._adopt(d, pairs, OracleRing._checked_shadow(d, pairs, (
+            Bimodule(DivisorClass(deg), sigma.lattice_matrix()) for deg, sigma in pairs)))
 
     @staticmethod
-    def _check_twists(d: int, pairs) -> None:
-        """Every bundle and map on d factors, and the maps pairwise
-        commuting projectively."""
+    def _checked_shadow(d: int, pairs, bimodules) -> BimoduleSystem:
+        """The numerical shadow after __init__'s checks, raising the checked
+        BimoduleSystem's errors; bimodules is read only once the twists pass."""
         for deg, sigma in pairs:
             if len(deg) != d or sigma.d != d:
                 raise ParseError("bundle or automorphism does not match d")
         for (i, (_, a)), (j, (_, b)) in itertools.combinations(enumerate(pairs), 2):
             if not a.commutes_projectively(b):
                 raise ParseError(f"automorphisms {i} and {j} do not commute projectively")
+        scheme = p1_power_scheme(d)
+        if not pairs:
+            raise ParseError("a system needs at least one bimodule")
+        shadow = tuple(bimodules)
+        for i, j in itertools.combinations(range(len(shadow)), 2):
+            _check_classes_commute(shadow, i, j)
+        return BimoduleSystem._trusted(scheme, shadow)
 
     def _adopt(self, d: int, pairs, shadow: BimoduleSystem) -> None:
         self.d = d
@@ -500,10 +509,10 @@ class OracleRing:
         return GradedPiece(nv, deg, monomial_basis(deg))
 
     def element(self, n, terms) -> RingElement:
-        piece = self.graded_piece(n)
-        section = MultiSection(piece.multidegree,
+        grade = tuple(n)
+        section = MultiSection(self.graded_multidegree(grade),
                                {tuple(k): Fraction(v) for k, v in terms.items() if v})
-        return RingElement(piece.grade, section)
+        return RingElement(grade, section)
 
     def random_element(self, n, rng: random.Random) -> RingElement:
         """Coefficients c / q with c uniform in [-3, 3] and q 2 with
@@ -681,11 +690,8 @@ def load_oracle(document) -> OracleRing:
     """Build the ring from a document's oracle member, cross-checking the
     declared bimodule matrices against the induced permutation actions.
 
-    It checks what OracleRing(d, pairs) checks, with the same errors, each
-    fact once: the shadow is the declared bimodules, whose matrices are by
-    then permutation actions, so their determinants are +-1 and they
-    commute where the twists commute projectively; the classes are still
-    checked pair by pair."""
+    It runs the checks of OracleRing(d, pairs), with the same errors, on
+    the declared matrices once they are known to be those actions."""
     if not isinstance(document, dict):
         raise ParseError("oracle loader needs a parsed document")
     if "oracle" not in document:
@@ -693,7 +699,8 @@ def load_oracle(document) -> OracleRing:
     member = document["oracle"]
     try:
         d = strict_int(member["d"], "d")
-        autos = [FactorAutomorphism.build(int_tuple(e["perm"], "perm entry"), e["mobius"])
+        autos = [FactorAutomorphism(tuple(p - 1 for p in int_tuple(e["perm"], "perm entry")),
+                                    tuple(_mob(rows) for rows in e["mobius"]))
                  for e in member["automorphisms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed oracle member: {exc}") from exc
@@ -706,11 +713,5 @@ def load_oracle(document) -> OracleRing:
                 f"bimodule {i} matrix is not the permutation action of its "
                 f"automorphism")
     pairs = tuple((bim.divisor.coords, auto) for bim, auto in zip(bims, autos))
-    if not pairs:
-        # the checked constructor says what a ring without bundles lacks
-        return OracleRing(d, pairs)
-    OracleRing._check_twists(d, pairs)
-    shadow = tuple(Bimodule(bim.divisor, bim.action) for bim in bims)
-    for i, j in itertools.combinations(range(len(shadow)), 2):
-        _check_classes_commute(shadow, i, j)
-    return OracleRing._trusted(d, pairs, BimoduleSystem._trusted(p1_power_scheme(d), shadow))
+    return OracleRing._trusted(d, pairs, OracleRing._checked_shadow(
+        d, pairs, (Bimodule(bim.divisor, bim.action) for bim in bims)))

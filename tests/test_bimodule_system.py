@@ -57,6 +57,8 @@ def load_data(name: str) -> dict:
               encoding="utf-8") as fh:
         return json.load(fh)
 
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+
 
 class TestValidation:
     def test_rank_mismatch(self):
@@ -403,27 +405,55 @@ class TestConstructors:
                 assert class_at(v, q).coords == class_at(sys, scaled).coords
 
     def _data_systems(self):
-        data = os.path.join(os.path.dirname(__file__), os.pardir, "data")
-        for name in sorted(os.listdir(data)):
-            with open(os.path.join(data, name), "rb") as fh:
+        for name in sorted(os.listdir(DATA)):
+            with open(os.path.join(DATA, name), "rb") as fh:
                 yield name, load_system(fh.read())
 
-    def test_veronese_skips_revalidation(self, monkeypatch):
-        # powers of commuting unimodular actions need no determinant
-        systems = list(self._data_systems())
-        calls = []
-        real_det = Matrix.det
-        monkeypatch.setattr(Matrix, "det", lambda m: calls.append(m) or real_det(m))
+    @staticmethod
+    def _derived_systems(systems):
+        """(label, system) for every derived constructor on the given systems:
+        veronese at strides 1..3, dual, combined_single at three grades,
+        rees where there is one bundle, and product with each system."""
         for name, sys in systems:
-            for strides in ((1,) * sys.s, (2,) * sys.s, (3, 1, 2)[:sys.s]):
-                veronese(sys, strides)
+            for strides in itertools.product((1, 2, 3), repeat=sys.s):
+                yield (name, "veronese", strides), veronese(sys, strides)
+            yield (name, "dual"), dual(sys)
+            for n in ((0,) * sys.s, (1,) * sys.s, (2, 3, 1)[:sys.s]):
+                yield (name, "combined_single", n), combined_single(sys, n)
+            if sys.s == 1:
+                yield (name, "rees"), rees(sys)
+            for other, other_sys in systems:
+                yield (name, "product", other), product(sys, other_sys)
+
+    def test_derived_systems_skip_revalidation(self, monkeypatch):
+        # a system derived from a valid one is valid, so no constructor takes
+        # a determinant; dual's only ones are its inverses'
+        systems = list(self._data_systems())
+        calls, inverting = [], []
+        real_det, real_inverse = Matrix.det, Matrix.inverse_unimodular
+
+        def det(m):
+            if not inverting:
+                calls.append(m)
+            return real_det(m)
+
+        def inverse(m):
+            inverting.append(m)
+            try:
+                return real_inverse(m)
+            finally:
+                inverting.pop()
+
+        monkeypatch.setattr(Matrix, "det", det)
+        monkeypatch.setattr(Matrix, "inverse_unimodular", inverse)
+        labels = [label for label, _ in self._derived_systems(systems)]
+        assert {label[1] for label in labels} == {
+            "veronese", "dual", "combined_single", "rees", "product"}
         assert calls == []
 
-    def test_veronese_equals_revalidated_system(self):
-        for name, sys in self._data_systems():
-            for strides in itertools.product((1, 2, 3), repeat=sys.s):
-                v = veronese(sys, strides)
-                assert BimoduleSystem(v.scheme, v.bimodules) == v, (name, strides)
+    def test_derived_systems_equal_revalidated_systems(self):
+        for label, sys in self._derived_systems(list(self._data_systems())):
+            assert BimoduleSystem(sys.scheme, sys.bimodules) == sys, label
 
     def test_veronese_rejects_zero_stride(self):
         with pytest.raises(ParseError):
@@ -513,6 +543,30 @@ class TestDocuments:
         assert doc["bimodules"][0]["star"] is True
         again = load_system(doc)
         assert again.bimodules[0].star is True
+
+    def test_arrays_must_be_json_arrays(self):
+        # a string or an object read as an array would load digit by digit
+        # or key by key: "10" as the divisor (1, 0), ["01", "10"] as the swap
+        for change, message in (({"divisor": "10"}, "divisor entry, got '10'"),
+                                ({"divisor": {"10": 0}}, "divisor entry, got {'10': 0}"),
+                                ({"matrix": ["01", "10"]}, "matrix entry, got '01'")):
+            with open(os.path.join(DATA, "swap-ring.json"), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc["bimodules"][0].update(change)
+            with pytest.raises(ParseError) as info:
+                load_system(doc)
+            assert str(info.value) == f"expected a JSON array of integers for {message}"
+
+    def test_document_matrices_checked_once(self, monkeypatch):
+        # int_tuple checks each entry; the Matrix constructor's second type
+        # pass is never run on a document matrix
+        calls = []
+        real = Matrix.__post_init__
+        monkeypatch.setattr(Matrix, "__post_init__", lambda m: calls.append(m) or real(m))
+        for name in sorted(os.listdir(DATA)):
+            with open(os.path.join(DATA, name), "rb") as fh:
+                load_system(fh.read())
+            assert calls == [], name
 
     def test_entries_spelled_as_strings_still_load(self):
         # an array that is not all ints is read entry by entry, and a

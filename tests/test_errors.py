@@ -38,6 +38,13 @@ class TestIntTuple:
             assert message(lambda: int_tuple([1, value, 2.5], "entry")) == \
                 f"entry must be an integer, got {value!r}"
 
+    def test_only_lists_and_tuples_are_arrays(self):
+        # a string or an object would be read entry by entry, digit by digit
+        # or key by key
+        for value in ("10", {"10": 0}, b"10", 10, None, range(2)):
+            assert message(lambda: int_tuple(value, "entry")) == \
+                f"expected a JSON array of integers for entry, got {value!r}"
+
 
 class TestExactInt:
     def test_ints_pass(self):

@@ -365,6 +365,24 @@ class TestAgainstFractionAlgebra:
         for point in itertools.product((-2, 0, 3), repeat=p.nvars):
             assert p.evaluate(point) == binom_evaluate(p, point)
 
+    def test_values_call_no_binom_int(self, monkeypatch):
+        # C(x, k + 1) = C(x, k) (x - k) / (k + 1) is exact at every integer
+        # x, negative ones too, so _values needs no checked binom_int
+        rng = random.Random(3)
+        cases = []
+        for nvars in (1, 2, 3):
+            points = list(itertools.product(range(-7, 8, 2), repeat=nvars))
+            for _ in range(10):
+                p = MultiPoly(nvars, {tuple(rng.randint(0, 6) for _ in range(nvars)):
+                                      rng.choice((-3, -1, 2, 5)) for _ in range(4)})
+                cases.append((p, points, [binom_evaluate(p, x) for x in points]))
+        calls = []
+        monkeypatch.setattr(numeric_polynomials, "binom_int",
+                            lambda n, k: calls.append((n, k)))
+        for p, points, want in cases:
+            assert numeric_polynomials._values(p, list(zip(*points))) == want, p
+        assert calls == []
+
     def test_not_integer_valued(self):
         # the first failing key in sorted order, with its rational value
         cases = [

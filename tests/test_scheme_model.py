@@ -184,6 +184,12 @@ class TestAmpleness:
             assert scheme.is_ample(DivisorClass(scheme.interior_point))
 
 
+def swap_ring_document() -> dict:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "swap-ring.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 class TestLoadScheme:
     def test_round_trip(self):
         for name in builtin_names():
@@ -237,6 +243,23 @@ class TestLoadScheme:
             load_scheme("[1, 2]")
         with pytest.raises(ParseError):
             load_scheme("{broken")
+
+    def test_arrays_must_be_json_arrays(self):
+        # a string or an object read as an array would load digit by digit
+        for change, message in (
+                (dict(ample_cone=["10", "01"]), "ample cone entry, got '10'"),
+                (dict(ample_cone={"10": 0}), "ample cone entry, got '10'"),
+                (dict(euler=[{"coeff": "1", "exponents": "11"}]),
+                 "euler exponent, got '11'")):
+            with pytest.raises(ParseError) as info:
+                load_scheme(dict(swap_ring_document(), **change))
+            assert str(info.value) == f"expected a JSON array of integers for {message}"
+
+    def test_name_and_note_must_be_strings(self):
+        for key, value in (("name", [1]), ("name", 5), ("note", {"a": 1}), ("note", None)):
+            with pytest.raises(ParseError) as info:
+                load_scheme(dict(swap_ring_document(), **{key: value}))
+            assert str(info.value) == f"{key} must be a string, got {value!r}"
 
     def test_bytes_read_as_utf8(self):
         text = json.dumps(builtin_scheme("P2").to_document())
@@ -550,7 +573,16 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: system([1, 1], [[1, 0], [0, 1.0]]),
              lambda: system([1, 1], [[1, 0], ["x", 1]]),
              lambda: system([1, 1], [[1, 0], [1]]),
-             lambda: system([1, 1], [])):
+             lambda: system([1, 1], []),
+             # the cases of SHAPE_ERRORS, in order
+             lambda: load_scheme(dict(pp, ample_cone=["10", "01"])),
+             lambda: load_scheme(dict(pp, ample_cone={"10": 0})),
+             lambda: load_scheme(dict(pp, euler=[{"coeff": "1", "exponents": "11"}])),
+             lambda: system("10", [[0, 1], [1, 0]]),
+             lambda: system({"10": 0}, [[0, 1], [1, 0]]),
+             lambda: system([1, 0], ["01", "10"]),
+             lambda: load_scheme(dict(pp, name=[1])),
+             lambda: load_scheme(dict(pp, note={"a": 1}))):
     try:
         print(call())
     except ParseError as exc:
@@ -576,9 +608,23 @@ ARRAY_ERRORS = [
     "a matrix needs at least one row",
 ]
 
+# a value that is not a JSON array, or a name or note that is not a string,
+# is refused instead of being read as one
+SHAPE_ERRORS = [
+    "expected a JSON array of integers for ample cone entry, got '10'",
+    "expected a JSON array of integers for ample cone entry, got '10'",
+    "expected a JSON array of integers for euler exponent, got '11'",
+    "expected a JSON array of integers for divisor entry, got '10'",
+    "expected a JSON array of integers for divisor entry, got {'10': 0}",
+    "expected a JSON array of integers for matrix entry, got '01'",
+    "name must be a string, got [1]",
+    "note must be a string, got {'a': 1}",
+]
+
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
     lines = run_python("-O", "-c", _BAD_SCHEMES).splitlines()
-    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 119
-    assert lines[-len(ARRAY_ERRORS):] == [f"ParseError: {m}" for m in ARRAY_ERRORS]
+    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 127
+    messages = ARRAY_ERRORS + SHAPE_ERRORS
+    assert lines[-len(messages):] == [f"ParseError: {m}" for m in messages]

@@ -706,6 +706,11 @@ BAD_ORACLE_DOCUMENTS = [
      ParseError, "singular Moebius matrix"),
     (oracle_doc(1, [([1], [[1]], [1], [[[1, 0], [0, 1], [0, 0]]])]),
      ParseError, "a Moebius matrix is 2x2"),
+    # a perm that is not a JSON array is not read digit by digit or key by key
+    (oracle_doc(2, [([1, 0], SWAP, "21", [ONE, ONE])]),
+     ParseError, "expected a JSON array of integers for perm entry, got '21'"),
+    (oracle_doc(2, [([1, 0], SWAP, {"2": 0, "1": 0}, [ONE, ONE])]),
+     ParseError, "expected a JSON array of integers for perm entry, got {'2': 0, '1': 0}"),
 ]
 
 
@@ -758,17 +763,20 @@ class TestLoadOracle:
             assert load_oracle(doc).numerical_shadow() == checked, name
 
     def test_each_fact_checked_once(self, monkeypatch):
-        # one permutation action per automorphism, and no determinant:
-        # the shadow is built from the matrices already compared
+        # one permutation action per automorphism, and no determinant, from
+        # the constructor and from documents, whose shadow is built from
+        # the matrices already compared
         real_lattice, real_det = FactorAutomorphism.lattice_matrix, Matrix.det
         lattice, dets = [], []
         monkeypatch.setattr(FactorAutomorphism, "lattice_matrix",
                             lambda f: lattice.append(f) or real_lattice(f))
         monkeypatch.setattr(Matrix, "det", lambda m: dets.append(m) or real_det(m))
-        for name, doc in oracle_documents():
+        builds = [(make.__name__, make) for make in ALL_RINGS]
+        builds += [(name, lambda doc=doc: load_oracle(doc)) for name, doc in oracle_documents()]
+        for name, build in builds:
             lattice.clear()
-            ring = load_oracle(doc)
-            assert len(lattice) <= ring.s, name
+            ring = build()
+            assert len(lattice) == ring.s, name
             assert dets == [], name
 
 
