@@ -19,7 +19,7 @@ from .errors import (ArityError, ClassCommutationFail, MatrixCommutationFail,
 from .lattice_algebra import (Matrix, _check_square, geometric_sum, strided_geometric_sum,
                              strided_nilpotent_powers)
 from .numeric_polynomials import MultiPoly
-from .scheme_model import DivisorClass, NumericalScheme, _as_dict, as_coords, load_scheme
+from .scheme_model import DivisorClass, NumericalScheme, _as_dict, load_scheme
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,12 @@ class BimoduleSystem:
         rho = self.scheme.rho
         if not self.bimodules:
             raise ParseError("a system needs at least one bimodule")
-        dets = {}
         for i, bim in enumerate(self.bimodules):
             if len(bim.divisor) != rho or bim.action.rho != rho:
                 raise ParseError(
                     f"bimodule {i} does not match lattice rank {rho}")
-            # one determinant per distinct action
-            d = dets.get(bim.action)
-            if d is None:
-                d = dets[bim.action] = bim.action.det()
+            # det is memoized: one trace recursion per distinct action
+            d = bim.action.det()
             if d not in (1, -1):
                 raise NonInvertible(index=i, det=d)
         for i in range(len(self.bimodules)):
@@ -82,12 +79,17 @@ def _check_classes_commute(bimodules, i: int, j: int) -> None:
 
 
 def make_system(scheme, pairs, stars=None) -> BimoduleSystem:
-    """Assemble a system from (divisor, action) pairs of plain sequences."""
+    """Assemble a system from (divisor, action) pairs of plain sequences,
+    with one star flag per pair (all False when stars is None)."""
+    stars = [False] * len(pairs) if stars is None else list(stars)
+    if len(stars) != len(pairs):
+        raise ParseError(f"need one star flag per pair, got {len(stars)} "
+                         f"for {len(pairs)} pairs")
     bims = []
-    stars = stars or [False] * len(pairs)
     for (div, mat), star in zip(pairs, stars):
+        divisor = div if isinstance(div, DivisorClass) else DivisorClass(tuple(div))
         action = mat if isinstance(mat, Matrix) else Matrix.from_rows(mat)
-        bims.append(Bimodule(DivisorClass(as_coords(div)), action, bool(star)))
+        bims.append(Bimodule(divisor, action, _strict_bool(star, "star flag")))
     return BimoduleSystem(scheme, tuple(bims))
 
 

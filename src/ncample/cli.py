@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND,
                            help="limit of the negative-ray search (largest direction "
                                 "and base entry) and of the --single power scan "
-                                "(default 16); corners are searched without limit")
+                                f"(default {DEFAULT_SEARCH_BOUND}); corners are "
+                                "searched without limit")
 
     p = sub.add_parser("validate", help="parse and validate a document")
     add_common(p)
@@ -152,11 +153,9 @@ def _cmd_validate(args, report) -> int:
                    "interior_point": list(scheme.interior_point)},
     }
     if system is not None:
-        actions = [b.action for b in system.bimodules]
-        dets = {m: m.det() for m in set(actions)}
         payload["system"] = {
             "s": system.s,
-            "determinants": [dets[m] for m in actions],
+            "determinants": [b.action.det() for b in system.bimodules],
             "star": [b.star for b in system.bimodules],
         }
         if "oracle" in doc:

@@ -107,45 +107,17 @@ class Matrix:
         return all(e == 0 for row in self.entries for e in row)
 
     def det(self) -> int:
-        """Fraction-free Bareiss elimination."""
-        n = self.rho
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        """(-1)^rho c_0, from the memoized trace recursion."""
+        c0 = _trace_recursion(self)[0][0]
+        return -c0 if self.rho & 1 else c0
 
     def inverse_unimodular(self) -> "Matrix":
-        """Exact inverse; only defined when det is +1 or -1."""
-        d = self.det()
-        if d not in (1, -1):
-            raise NonInvertible(det=d)
-        n = self.rho
-        if n == 1:
-            return Matrix._trusted(((d,),))
-        cof = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = Matrix._trusted(tuple(
-                    tuple(self.entries[r][c] for c in range(n) if c != j)
-                    for r in range(n) if r != i))
-                cof[i][j] = (-1) ** (i + j) * minor.det()
-        # adjugate is the transposed cofactor matrix; dividing by det = +-1
-        # is the same as multiplying by det
-        return Matrix._trusted(tuple(tuple(d * cof[j][i] for j in range(n))
-                                     for i in range(n)))
+        """Exact inverse -c_0 M_rho, from the memoized trace recursion; only
+        defined when det is +1 or -1, and NonInvertible(det=...) otherwise."""
+        coeffs, last = _trace_recursion(self)
+        if coeffs[0] not in (1, -1):
+            raise NonInvertible(det=self.det())
+        return last.scale(-coeffs[0])
 
 
 def _check_square(entries):
@@ -210,21 +182,35 @@ class UniPoly:
         return UniPoly.from_coeffs(quot)
 
 
-def char_poly(m: Matrix) -> UniPoly:
-    """Characteristic polynomial of m, monic, by the exact trace recursion."""
+@lru_cache(maxsize=256, typed=True)
+def _trace_recursion(m: Matrix) -> tuple[tuple[int, ...], Matrix]:
+    """The Faddeev–LeVerrier recursion: the coefficients c_0, ..., c_rho of
+    det(x I - m), lowest degree first, and its last iterate M_rho.
+
+    With M_1 = I, c_(rho-k) = -tr(m M_k) / k (exact over Z) and
+    M_(k+1) = m M_k + c_(rho-k) I, Cayley–Hamilton gives m M_rho = -c_0 I:
+    det m = (-1)^rho c_0, and -c_0 M_rho inverts m when c_0 = +-1.
+    Memoized per process by matrix value, so the determinant check, the
+    screen and the inverse of one action take one pass.
+    """
     n = m.rho
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+    coeffs = [0] * n + [1]
     mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        am = m * mk
-        t = am.trace()
-        q, r = divmod(-t, k)
-        assert r == 0, "trace recursion must divide exactly"
-        coeffs[n - k] = q
-        if k < n:
-            mk = am + Matrix.identity(n).scale(q)
-    return UniPoly(tuple(coeffs))
+    for k in range(1, n):
+        product = (m * mk).entries
+        c = coeffs[n - k] = -sum(product[i][i] for i in range(n)) // k
+        mk = Matrix._trusted(tuple(row[:i] + (row[i] + c,) + row[i + 1:]
+                                   for i, row in enumerate(product)))
+    # m M_rho = -c_0 I, so of that last product only the trace is formed
+    coeffs[0] = -sum(sum(map(mul, row, col))
+                     for row, col in zip(m.entries, zip(*mk.entries))) // n
+    return tuple(coeffs), mk
+
+
+def char_poly(m: Matrix) -> UniPoly:
+    """Characteristic polynomial of m, monic, from the memoized trace
+    recursion."""
+    return UniPoly(_trace_recursion(m)[0])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -275,6 +261,8 @@ def is_quasi_unipotent(m: Matrix) -> tuple[bool, int | None]:
     d = m.det()
     if d not in (1, -1):
         raise NonInvertible(det=d)
+    # the determinant and the characteristic polynomial share one memoized
+    # trace recursion
     remaining = char_poly(m)
     orders: list[int] = []
     for cand in quasi_unipotent_candidates(m.rho):

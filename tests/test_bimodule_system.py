@@ -17,7 +17,7 @@ from corpus import (
     golden_warning,
     unipotent_corpus,
 )
-from ncample import bimodule_system
+from ncample import bimodule_system, lattice_algebra
 from ncample.ampleness import nc_ample_verdict
 from ncample.bimodule_system import (
     Bimodule,
@@ -85,6 +85,39 @@ class TestValidation:
     def test_empty_system(self):
         with pytest.raises(ParseError):
             make_system(builtin_scheme("P1"), [])
+
+    def test_one_star_flag_per_pair(self):
+        # a short stars list used to drop the bundles past its end
+        pairs = [((1, 1), IDENT[2]), ((2, 1), IDENT[2])]
+        for stars in ([True], [True, False, True], []):
+            with pytest.raises(ParseError) as info:
+                make_system(builtin_scheme("P1xP1"), pairs, stars)
+            assert str(info.value) == (f"need one star flag per pair, got "
+                                       f"{len(stars)} for 2 pairs")
+        sys = make_system(builtin_scheme("P1xP1"), pairs, [True, False])
+        assert [b.star for b in sys.bimodules] == [True, False]
+
+    def test_star_flags_are_bools(self):
+        # bool("false") is True
+        for star in ("false", 0, 1, None):
+            with pytest.raises(ParseError) as info:
+                make_system(builtin_scheme("P1"), [((1,), IDENT[1])], [star])
+            assert str(info.value) == f"star flag must be true or false, got {star!r}"
+
+    def test_each_divisor_checked_once(self, monkeypatch):
+        calls = []
+        check = DivisorClass.__post_init__
+        monkeypatch.setattr(DivisorClass, "__post_init__",
+                            lambda d: calls.append(d.coords) or check(d))
+        pairs = [((1, 1), IDENT[2]), ((2, 1), IDENT[2])]
+        make_system(builtin_scheme("P1xP1"), pairs)
+        assert calls == [(1, 1), (2, 1)]
+        # a DivisorClass is taken as it is
+        calls.clear()
+        sys = make_system(builtin_scheme("P1xP1"),
+                          [(DivisorClass(d), m) for d, m in pairs])
+        assert calls == [(1, 1), (2, 1)]
+        assert sys == make_system(builtin_scheme("P1xP1"), pairs)
 
 
 class TestClassAt:
@@ -427,29 +460,26 @@ class TestConstructors:
 
     def test_derived_systems_skip_revalidation(self, monkeypatch):
         # a system derived from a valid one is valid, so no constructor takes
-        # a determinant; dual's only ones are its inverses'
+        # a determinant; dual's inverses read the trace recursion directly
         systems = list(self._data_systems())
-        calls, inverting = [], []
-        real_det, real_inverse = Matrix.det, Matrix.inverse_unimodular
-
-        def det(m):
-            if not inverting:
-                calls.append(m)
-            return real_det(m)
-
-        def inverse(m):
-            inverting.append(m)
-            try:
-                return real_inverse(m)
-            finally:
-                inverting.pop()
-
-        monkeypatch.setattr(Matrix, "det", det)
-        monkeypatch.setattr(Matrix, "inverse_unimodular", inverse)
+        calls = []
+        real = Matrix.det
+        monkeypatch.setattr(Matrix, "det", lambda m: calls.append(m) or real(m))
         labels = [label for label, _ in self._derived_systems(systems)]
         assert {label[1] for label in labels} == {
             "veronese", "dual", "combined_single", "rees", "product"}
         assert calls == []
+
+    def test_dual_one_recursion_per_distinct_action(self):
+        # from a cold memo, the duals of the data/ systems (15 bundles, 5
+        # distinct actions) invert each action by one trace recursion
+        systems = [sys for _, sys in self._data_systems()]
+        actions = {bim.action for sys in systems for bim in sys.bimodules}
+        recursion = lattice_algebra._trace_recursion
+        recursion.cache_clear()
+        for sys in systems:
+            dual(sys)
+        assert recursion.cache_info().misses == len(actions) == 5
 
     def test_derived_systems_equal_revalidated_systems(self):
         for label, sys in self._derived_systems(list(self._data_systems())):
@@ -580,20 +610,22 @@ class TestDocuments:
         assert sys.bimodules[0].action == Matrix.from_rows([[1, 1], [0, 1]])
         assert load_system(system_to_document(sys)) == sys
 
-    def test_one_determinant_per_distinct_action(self, monkeypatch):
-        dets = []
-        real = Matrix.det
-        monkeypatch.setattr(Matrix, "det", lambda m: dets.append(m) or real(m))
+    def test_one_determinant_per_distinct_action(self):
+        # det reads the memoized trace recursion: from a cold memo, three
+        # bundles that share the shear take one recursion
+        recursion = lattice_algebra._trace_recursion
+        recursion.cache_clear()
         shear = Matrix.from_rows([[1, 1], [0, 1]])
         make_system(builtin_scheme("P1xP1"),
                     [((-5, 1), shear), ((1, 1), shear), ((1, 1), shear)])
-        assert dets == [shear]
+        assert recursion.cache_info().misses == 1
         # a repeated singular action is named at its first index
         singular = Matrix.from_rows([[2, 0], [0, 1]])
         with pytest.raises(NonInvertible) as info:
             make_system(builtin_scheme("P1xP1"),
                         [((1, 1), shear), ((1, 0), singular), ((2, 0), singular)])
         assert info.value.index == 1
+        assert recursion.cache_info().misses == 2
 
     @settings(max_examples=20)
     @given(st.integers(min_value=-3, max_value=3),

@@ -4,9 +4,8 @@ import os
 import pytest
 
 from corpus import run_python
-from ncample import bimodule_system, cli, scheme_model
+from ncample import bimodule_system, cli, lattice_algebra, scheme_model
 from ncample.cli import main, run
-from ncample.lattice_algebra import Matrix
 from ncample.scheme_model import builtin_scheme
 
 DATA = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "data"))
@@ -58,19 +57,18 @@ class TestValidate:
         assert code == 0 and report["payload"]["system"]["s"] == 1
         assert len(calls) == 1
 
-    def test_one_determinant_per_distinct_action(self, tmp_path, monkeypatch):
-        # three bundles share the shear: the system's check and the report
-        # each take its determinant once
+    def test_one_determinant_per_distinct_action(self, tmp_path):
+        # three bundles share the shear: from a cold memo, the system's check
+        # and the report read the determinant of one trace recursion
         doc = builtin_scheme("P1xP1").to_document()
         doc["bimodules"] = [{"divisor": d, "matrix": [[1, 1], [0, 1]]}
                             for d in ([1, 1], [2, 1], [0, 1])]
-        dets = []
-        real = Matrix.det
-        monkeypatch.setattr(Matrix, "det", lambda m: dets.append(m) or real(m))
+        recursion = lattice_algebra._trace_recursion
+        recursion.cache_clear()
         code, report = run(["validate", write_doc(tmp_path, "shear.json", doc)])
         assert code == 0
         assert report["payload"]["system"]["determinants"] == [1, 1, 1]
-        assert len(dets) == 2
+        assert recursion.cache_info().misses == 1
 
     def test_missing_file(self):
         code, report = run(["validate", "no-such-file.json"])

@@ -1,3 +1,7 @@
+import itertools
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +34,36 @@ def square_matrices(rho, lo=-5, hi=5):
     return st.lists(
         st.lists(entry, min_size=rho, max_size=rho),
         min_size=rho, max_size=rho).map(Matrix.from_rows)
+
+
+def leibniz_det(m):
+    """Reference determinant: the signed sum over permutations of products
+    of one entry from each row."""
+    n = m.rho
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m.entries[i][perm[i]] for i in range(n))
+    return total
+
+
+def random_matrices(rng, count=40, lo=-5, hi=5):
+    """count seeded integer matrices of each rank 1..5."""
+    for rho in range(1, 6):
+        for _ in range(count):
+            yield Matrix.from_rows([[rng.randint(lo, hi) for _ in range(rho)]
+                                    for _ in range(rho)])
+
+
+def random_unimodular(rng, rho):
+    """A sign times a product of a unit lower and a unit upper triangular
+    matrix, so det is +1 or -1."""
+    def unit(lower):
+        return Matrix.from_rows([[1 if i == j else rng.randint(-3, 3) if (i > j) == lower
+                                  else 0 for j in range(rho)] for i in range(rho)])
+    sign = Matrix.from_rows([[rng.choice((1, -1)) if i == j == 0 else int(i == j)
+                              for j in range(rho)] for i in range(rho)])
+    return sign * unit(True) * unit(False)
 
 
 class TestMatrix:
@@ -68,17 +102,37 @@ class TestMatrix:
         assert FIB.det() == 1
         assert Matrix.from_rows([[2, 0], [0, 2]]).det() == 4
         assert Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]).det() == -3
+        for m in random_matrices(random.Random(0)):
+            assert m.det() == leibniz_det(m), m
 
     def test_inverse_unimodular(self):
         for m in (SWAP, FIB, ROT4, UPPER):
             assert m * m.inverse_unimodular() == Matrix.identity(2)
             assert m.inverse_unimodular() * m == Matrix.identity(2)
+        rng = random.Random(1)
+        for rho in range(1, 6):
+            for _ in range(40):
+                m = random_unimodular(rng, rho)
+                assert leibniz_det(m) in (1, -1)
+                inverse = m.inverse_unimodular()
+                assert m * inverse == Matrix.identity(rho), m
+                assert inverse * m == Matrix.identity(rho), m
+        # a random matrix is inverted exactly when its Leibniz det is a unit
+        for m in random_matrices(random.Random(2), lo=-2, hi=2):
+            det = leibniz_det(m)
+            if det in (1, -1):
+                assert m * m.inverse_unimodular() == Matrix.identity(m.rho), m
+            else:
+                with pytest.raises(NonInvertible) as info:
+                    m.inverse_unimodular()
+                assert info.value.det == det, m
 
     def test_inverse_rejects_non_unimodular(self):
-        with pytest.raises(NonInvertible):
-            Matrix.from_rows([[2, 0], [0, 1]]).inverse_unimodular()
-        with pytest.raises(NonInvertible):
-            Matrix.from_rows([[1, 0], [0, 0]]).inverse_unimodular()
+        for rows, det in (([[2, 0], [0, 1]], 2), ([[1, 0], [0, 0]], 0),
+                          ([[0, 1, 0], [1, 0, 0], [0, 0, 3]], -3)):
+            with pytest.raises(NonInvertible) as info:
+                Matrix.from_rows(rows).inverse_unimodular()
+            assert info.value.det == det
 
     def test_derived_matrices_skip_the_check(self, monkeypatch):
         checks = []

@@ -582,7 +582,11 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: system({"10": 0}, [[0, 1], [1, 0]]),
              lambda: system([1, 0], ["01", "10"]),
              lambda: load_scheme(dict(pp, name=[1])),
-             lambda: load_scheme(dict(pp, note={"a": 1}))):
+             lambda: load_scheme(dict(pp, note={"a": 1})),
+             # the cases of STAR_ERRORS, in order
+             lambda: make_system(builtin_scheme("P1"), [((1,), [[1]]), ((2,), [[1]])],
+                                 [True]),
+             lambda: make_system(builtin_scheme("P1"), [((1,), [[1]])], ["false"])):
     try:
         print(call())
     except ParseError as exc:
@@ -621,10 +625,17 @@ SHAPE_ERRORS = [
     "note must be a string, got {'a': 1}",
 ]
 
+# make_system takes one star flag per pair, each a bool: a short list used
+# to drop bundles, and "false" used to read as True
+STAR_ERRORS = [
+    "need one star flag per pair, got 1 for 2 pairs",
+    "star flag must be true or false, got 'false'",
+]
+
 
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
     lines = run_python("-O", "-c", _BAD_SCHEMES).splitlines()
-    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 127
-    messages = ARRAY_ERRORS + SHAPE_ERRORS
+    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 129
+    messages = ARRAY_ERRORS + SHAPE_ERRORS + STAR_ERRORS
     assert lines[-len(messages):] == [f"ParseError: {m}" for m in messages]
