@@ -101,7 +101,8 @@ def _twisted_walk(sys: BimoduleSystem, ranges):
     With the grades after a at 0, a step along bundle a adds M^n d_a to the
     class and multiplies the action by M_a, so only the first grade of each
     run goes through a geometric sum and a power, once per bundle, and a
-    run that starts at grade 0 takes neither.
+    run that starts at grade 0 takes neither.  The walk keeps its own
+    stack, so s is not bounded by the recursion limit.
     """
     runs = [exact_ints(r, "grade", at_least=0) for r in ranges]
     if len(runs) != sys.s:
@@ -111,21 +112,33 @@ def _twisted_walk(sys: BimoduleSystem, ranges):
     steps = [(bim.divisor.coords, bim.action) for bim in sys.bimodules]
     firsts = [(geometric_sum(m, run[0]).apply(d), m ** run[0]) if run[0] else None
               for (d, m), run in zip(steps, runs)]
-
-    def walk(a, n, coords, action):
-        if a == sys.s:
-            yield n, coords, action
-            return
-        step, later = firsts[a], steps[a]
-        for x in runs[a]:
-            if step is not None:
-                part, power = step
-                coords = tuple(map(add, coords, action.apply(part)))
-                action = action * power
-            step = later
-            yield from walk(a + 1, n + (x,), coords, action)
-
-    yield from walk(0, (), (0,) * sys.scheme.rho, Matrix.identity(sys.scheme.rho))
+    n: list[int] = []
+    # at[a]: the class and action at the grades n[:a]
+    at = [((0,) * sys.scheme.rho, Matrix.identity(sys.scheme.rho))]
+    pending = [iter(runs[0])]  # pending[a]: the grades bundle a has yet to take
+    while pending:
+        a = len(pending) - 1
+        x = next(pending[a], None)
+        if x is None:
+            pending.pop()
+            del n[a:], at[a + 1:]
+            continue
+        if len(n) > a:
+            # a later grade of the run steps on from the one before
+            n.pop()
+            (coords, action), step = at.pop(), steps[a]
+        else:
+            (coords, action), step = at[a], firsts[a]
+        if step is not None:
+            part, power = step
+            coords = tuple(map(add, coords, action.apply(part)))
+            action = action * power
+        n.append(x)
+        at.append((coords, action))
+        if a + 1 < sys.s:
+            pending.append(iter(runs[a + 1]))
+        else:
+            yield tuple(n), coords, action
 
 
 def class_at(sys: BimoduleSystem, n) -> DivisorClass:

@@ -144,8 +144,9 @@ def _cmd_validate(args, report) -> int:
     doc, meta = _load_input(args.input, args.scheme)
     report["input"] = meta
     # load_system reads the scheme before the bimodules, so the first
-    # error is the same as from load_scheme alone
-    system = bs.load_system(doc) if "bimodules" in doc else None
+    # error is the same as from load_scheme alone; an oracle member is
+    # read from the bimodules, so it needs them too
+    system = bs.load_system(doc) if "bimodules" in doc or "oracle" in doc else None
     scheme = load_scheme(doc) if system is None else system.scheme
     payload = {
         "scheme": {"name": scheme.name, "dim": scheme.dim, "rho": scheme.rho,
@@ -305,12 +306,17 @@ _DISPATCH = {
 
 def run(argv) -> tuple[int, dict]:
     """Parse argv, dispatch, and return (exit code, run report)."""
+    return _run(argv)[:2]
+
+
+def _run(argv) -> tuple[int, dict, argparse.Namespace | None]:
+    """run, with the parsed arguments too (None when argv does not parse)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (int(exc.code or 0) if exc.code != 2 else 1,
-                {"command": list(argv), "payload": {}, "warnings": []})
+                {"command": list(argv), "payload": {}, "warnings": []}, None)
     report: dict = {"command": list(argv), "warnings": []}
     started = time.monotonic()
     try:
@@ -323,21 +329,23 @@ def run(argv) -> tuple[int, dict]:
         print(f"ncample: {exc}", file=sys.stderr)
         code = 1
     report["timing_ms"] = int((time.monotonic() - started) * 1000)
-    return code, report
+    return code, report, args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    code, report = run(argv)
+    code, report, args = _run(argv)
+    # with --emit -, stdout carries the emitted document alone
+    out = sys.stderr if getattr(args, "emit", None) == "-" else sys.stdout
     payload = report.get("payload", {})
-    if "--json" in argv:
-        print(json.dumps(report, sort_keys=True, indent=2))
+    if getattr(args, "as_json", False):
+        print(json.dumps(report, sort_keys=True, indent=2), file=out)
     elif payload or report.get("warnings"):
         # plain errors already went to the diagnostic stream
         if not (code != 0 and set(payload) <= {"error", "verdict_kind"}):
             text = _render_text(report)
             if text:
-                print(text)
+                print(text, file=out)
     return code
 
 

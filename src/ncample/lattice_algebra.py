@@ -100,9 +100,6 @@ class Matrix:
                              f"rank {self.rho}")
         return tuple(sum(map(mul, row, v)) for row in self.entries)
 
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.rho))
-
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)
 

@@ -36,19 +36,10 @@ def _expect_len(what: str, got: int, want: int) -> None:
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _mono_to_binom_row(e: int) -> tuple[int, ...]:
-    """Coefficients of x^e in the basis C(x,0..e).
-
-    Built by repeated multiplication by x, using
-    x*C(x,k) = (k+1)*C(x,k+1) + k*C(x,k).
-    """
-    row = [1]
-    for _ in range(e):
-        new = [0] * (len(row) + 1)
-        for k, c in enumerate(row):
-            new[k + 1] += c * (k + 1)
-            new[k] += c * k
-        row = new
-    return tuple(row)
+    """Coefficients of x^e in the basis C(x,0..e): the forward differences
+    of x -> x^e at 0."""
+    row = _interpolate((e,), e, lambda coords: [x ** e for x in coords[0]]).terms
+    return tuple(row.get((k,), 0) for k in range(e + 1))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -389,25 +380,21 @@ def _sign_stable_threshold(coeffs: list[int]) -> int:
     return 1 + max((-(-abs(c) // lead) for c in coeffs[:-1]), default=0)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def _binom_product_row(ms: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of prod_i C(t, m_i) in the basis C(t, 0..sum(ms)); the
-    m's are sorted, so each multiset is built once."""
-    degree = sum(ms)
-    row = _interpolate((degree,), degree, lambda coords: [
-        math.prod(math.comb(t, m) for m in ms) for t in coords[0]]).terms
-    return tuple(row.get((m,), 0) for m in range(degree + 1))
-
-
 @functools.lru_cache(maxsize=1024, typed=True)
 def _vandermonde_rows(key: Exponents) -> tuple[tuple[Exponents, tuple[int, ...]], ...]:
     """(j, row) for every j <= key, with row the coefficients of
     prod_i C(t, k_i - j_i) in the basis C(t, 0..|key - j|).
 
-    Memoized per process by the exponent key: polynomials of one shape
-    share their keys.
+    By Vandermonde, prod_i C(n_i + t, k_i) has at C(n, j) C(t, m) exactly
+    the m-th of those coefficients, so one interpolation over (n, t) gives
+    every row.  Memoized per process by the exponent key: polynomials of
+    one shape share their keys.
     """
-    return tuple((j, _binom_product_row(tuple(sorted(k - i for k, i in zip(key, j) if k > i))))
+    degree = sum(key)
+    table = _interpolate(key + (degree,), degree, lambda coords: [
+        math.prod(math.comb(n + t, k) for n, k in zip(point, key))
+        for *point, t in zip(*coords)]).terms
+    return tuple((j, tuple(table.get(j + (m,), 0) for m in range(degree - sum(j) + 1)))
                  for j in itertools.product(*(range(k + 1) for k in key)))
 
 

@@ -69,8 +69,7 @@ class NumericalScheme:
     note: str = ""
 
     @staticmethod
-    def build(name, dim, rho, euler, cone, note="",
-              interior_hint=None) -> "NumericalScheme":
+    def build(name, dim, rho, euler, cone, note="") -> "NumericalScheme":
         for what, text in (("name", name), ("note", note)):
             if not isinstance(text, str):
                 raise ParseError(f"{what} must be a string, got {text!r}")
@@ -94,14 +93,7 @@ class NumericalScheme:
         for row in rows:
             if len(row) != rho:
                 raise ParseError(f"cone row {row} has length {len(row)}, expected {rho}")
-        interior = None
-        if interior_hint is not None:
-            hint = exact_ints(interior_hint, "interior hint entry", length=rho)
-            if _strictly_positive(rows, hint):
-                interior = hint
-        if interior is None:
-            interior = _find_interior_point(rows, rho)
-        return NumericalScheme(name, dim, rho, euler, rows, interior, note)
+        return NumericalScheme(name, dim, rho, euler, rows, _find_interior_point(rows, rho), note)
 
     def is_ample(self, c) -> bool:
         """Strict positivity of every cone functional at the class c."""
@@ -227,16 +219,13 @@ def _first_in_box(levels, radius):
     coordinates, whose absolute coefficients sum to spread). Coordinate i
     only takes the values that leave every such row able to become
     positive when the later coordinates add the most the box allows,
-    radius * spread."""
-    rho = len(levels)
+    radius * spread. The walk keeps its own stack, so rho is not bounded
+    by the recursion limit."""
     point: list[int] = []
-
-    def extend() -> bool:
-        i = len(point)
-        if i == rho:
-            return True
+    pending = []  # pending[i]: the values coordinate i has yet to try
+    while len(point) < len(levels):
         lo, hi = -radius, radius
-        for prefix, a, spread in levels[i]:
+        for prefix, a, spread in levels[len(point)]:
             # need a * x + c > 0
             c = sum(map(mul, prefix, point)) + radius * spread
             if a > 0:
@@ -244,15 +233,16 @@ def _first_in_box(levels, radius):
             elif a < 0:
                 hi = min(hi, (c - 1) // -a)
             elif c <= 0:
-                return False
-        for x in range(lo, hi + 1):
-            point.append(x)
-            if extend():
-                return True
+                hi = lo - 1  # no value of x makes this row positive
+                break
+        pending.append(iter(range(lo, hi + 1)))
+        while (x := next(pending[-1], None)) is None:
+            pending.pop()
+            if not pending:
+                return None
             point.pop()
-        return False
-
-    return tuple(point) if extend() else None
+        point.append(x)
+    return tuple(point)
 
 
 def load_scheme(document) -> NumericalScheme:
@@ -306,21 +296,19 @@ def p1_power_scheme(d: int) -> NumericalScheme:
     euler = MultiPoly(d, dict.fromkeys(itertools.product((0, 1), repeat=d), 1))
     cone = tuple(tuple(1 if j == i else 0 for j in range(d)) for i in range(d))
     name = {1: "P1", 2: "P1xP1"}.get(d, f"P1^{d}")
-    return NumericalScheme.build(name, d, d, euler, cone, interior_hint=(1,) * d)
+    return NumericalScheme.build(name, d, d, euler, cone)
 
 
 def _p2_scheme() -> NumericalScheme:
     # (n+1)(n+2)/2 = C(n,2) + 2 C(n,1) + 1
     euler = MultiPoly(1, {(2,): 1, (1,): 2, (0,): 1})
-    return NumericalScheme.build("P2", 2, 1, euler, ((1,),), interior_hint=(1,))
+    return NumericalScheme.build("P2", 2, 1, euler, ((1,),))
 
 
 def _abelian_surface_scheme() -> NumericalScheme:
     # rank-2 hyperbolic model: counting polynomial a*b, trivial-class count 0
     euler = MultiPoly(2, {(1, 1): 1})
-    return NumericalScheme.build(
-        "AbelianSurfaceHyperbolic", 2, 2, euler, ((1, 0), (0, 1)),
-        interior_hint=(1, 1))
+    return NumericalScheme.build("AbelianSurfaceHyperbolic", 2, 2, euler, ((1, 0), (0, 1)))
 
 
 _BUILTIN_FACTORIES = {

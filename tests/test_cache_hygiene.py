@@ -17,8 +17,6 @@ UNBOUNDED = {
     "lattice_algebra.cyclotomic": "keyed by an order at most 2 rho^2 + 2",
     "numeric_polynomials._mono_to_binom_row": "keyed by a monomial degree",
     "numeric_polynomials._falling_row": "keyed by a binomial degree",
-    "numeric_polynomials._binom_product_row":
-        "keyed by multisets of binomial degrees, which sum to a polynomial's degree",
     "scheme_model.p1_power_scheme": "keyed by the number of P1 factors",
     "cli._build_parser": "takes no argument: one parser per process",
 }

@@ -88,6 +88,16 @@ class TestValidate:
             assert captured.out == ""
             assert captured.err.startswith(f"ncample: {path}: {message}")
 
+    def test_oracle_without_bimodules_rejected(self, tmp_path):
+        # the oracle is read from the bimodules, as oracle compare reads it
+        doc = load_data("swap-ring.json")
+        del doc["bimodules"]
+        path = write_doc(tmp_path, "oracle-only.json", doc)
+        for argv in (["validate", path], ["oracle", "compare", path]):
+            code, report = run(argv)
+            assert code == 1, argv
+            assert report["payload"] == {"error": "document has no bimodules member"}
+
     def test_oracle_shadow_mismatch(self, tmp_path):
         doc = load_data("swap-ring.json")
         doc["bimodules"][0]["matrix"] = [[1, 0], [0, 1]]
@@ -292,6 +302,22 @@ class TestConstructorPipelines:
         run(["dual", data("p1-O1.json"), "--emit", out])
         assert run(["validate", out])[0] == 0
 
+    def test_emit_to_stdout_pipes(self, tmp_path, capsys):
+        # with --emit -, stdout is the document alone, so it loads as one,
+        # and the summary or the --json report goes to stderr
+        for flags in ([], ["--json"]):
+            assert main(["dual", data("p1-O1.json"), "--emit", "-", *flags]) == 0
+            captured = capsys.readouterr()
+            emitted = json.loads(captured.out)
+            assert emitted == bimodule_system.system_to_document(
+                bimodule_system.dual(bimodule_system.load_system(load_data("p1-O1.json"))))
+            if flags:
+                assert json.loads(captured.err)["payload"]["emitted"] == "-"
+            else:
+                assert "emitted: -" in captured.err.splitlines()
+            code, report = run(["verdict", write_doc(tmp_path, "d.json", emitted)])
+            assert code == 0 and report["payload"]["kind"] == "NCAmple"
+
     def test_veronese_bad_stride(self):
         code, report = run(["veronese", data("p1-O1.json"), "--strides", "0"])
         assert code == 1
@@ -442,6 +468,11 @@ class TestMain:
         assert report["payload"]["kind"] == "NCAmple"
         assert "timing_ms" in report
 
+    def test_json_flag_read_from_parsed_arguments(self, capsys):
+        # argparse takes an unambiguous prefix of an option for the option
+        assert main(["verdict", data("p1-O1.json"), "--js"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["kind"] == "NCAmple"
+
     def test_text_mode(self, capsys):
         code = main(["verdict", data("p1-O1.json")])
         assert code == 0
@@ -465,3 +496,30 @@ class TestMain:
         code = main(["verdict", data("unipotent-warning.json")])
         assert code == 0
         assert "warning:" in capsys.readouterr().out
+
+
+class TestLargeDocuments:
+    """A long document is read without a RecursionError: under a recursion
+    limit of 150, rho = 200 and s = 200 stand for what a default limit of
+    1000 would meet at a larger size."""
+
+    @staticmethod
+    def run_limited(argv) -> list[str]:
+        script = ("import sys\nfrom ncample.cli import main\n"
+                  f"sys.setrecursionlimit(150)\nsys.exit(main({argv!r}))\n")
+        return run_python("-c", script).splitlines()
+
+    def test_cone_search_in_high_rank(self, tmp_path):
+        rho = 200
+        doc = {"name": "wide", "dim": 1, "rho": rho,
+               "euler": [{"coeff": "1", "exponents": [0] * rho}],
+               "ample_cone": [[1] + [0] * (rho - 1)]}
+        lines = self.run_limited(["validate", write_doc(tmp_path, "wide.json", doc)])
+        assert "ok: True" in lines
+        assert f"scheme.interior_point: {json.dumps([1] + [-1] * (rho - 1))}" in lines
+
+    def test_twisted_walk_over_many_bundles(self, tmp_path):
+        doc = builtin_scheme("P1").to_document()
+        doc["bimodules"] = [{"divisor": [1], "matrix": [[1]]}] * 200
+        lines = self.run_limited(["verdict", write_doc(tmp_path, "many.json", doc)])
+        assert "kind: NCAmple" in lines

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import operator
@@ -609,11 +610,23 @@ class TestEventuallyPositive:
             eventually_positive(MultiPoly.from_monomials(1, poly), bound)
 
 
+def vandermonde_shift(p, t):
+    """The terms of p.shift(t) for t >= 0, term by term through
+    C(n_i + t_i, k_i) = sum_j C(t_i, k_i - j) C(n_i, j): a reference that
+    does not interpolate."""
+    out = {}
+    for key, c in p.terms.items():
+        rows = [[math.comb(t_i, k_i - j) for j in range(k_i + 1)] for t_i, k_i in zip(t, key)]
+        for j in itertools.product(*(range(k + 1) for k in key)):
+            out[j] = out.get(j, 0) + c * math.prod(row[i] for row, i in zip(rows, j))
+    return {j: c for j, c in out.items() if c}
+
+
 def least_shift_by_scan(p, limit):
     """The least t <= limit whose diagonal shift certifies p, or None."""
     for t in range(limit + 1):
-        q = p.shift((t,) * p.nvars)
-        if q.constant_term > 0 and all(c >= 0 for c in q.terms.values()):
+        terms = vandermonde_shift(p, (t,) * p.nvars)
+        if terms.get((0,) * p.nvars, 0) > 0 and all(c >= 0 for c in terms.values()):
             return t
     return None
 
@@ -793,15 +806,24 @@ class TestNonnegativeShift:
                 trend_gallop_least_shift(p), p.terms
 
 
+@functools.lru_cache(maxsize=None)
+def binom_product_row(ms):
+    """Coefficients of prod_i C(t, m_i) in the basis C(t, 0..sum(ms)), from
+    one univariate interpolation of its values."""
+    degree = sum(ms)
+    row = numeric_polynomials._interpolate((degree,), degree, lambda coords: [
+        math.prod(math.comb(t, m) for m in ms) for t in coords[0]]).terms
+    return tuple(row.get((m,), 0) for m in range(degree + 1))
+
+
 def reference_shift_trends(p):
     """_shift_trends by the loop over every key and every j <= key, each
-    product row looked up on its own."""
+    product row built on its own."""
     degree = p.total_degree()
     trends = {}
     for key, c in p.terms.items():
         for j in itertools.product(*(range(k + 1) for k in key)):
-            row = numeric_polynomials._binom_product_row(
-                tuple(sorted(k - i for k, i in zip(key, j) if k > i)))
+            row = binom_product_row(tuple(sorted(k - i for k, i in zip(key, j) if k > i)))
             vec = trends.setdefault(j, [0] * (degree + 1))
             for m, w in enumerate(row):
                 vec[m] += c * w

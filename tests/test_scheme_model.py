@@ -153,8 +153,8 @@ class TestBuiltins:
             assert again.to_monomials() == monomials, scheme.name
 
     def test_hinted_interior_point_is_the_searched_one(self):
-        # the factories skip the cone search with a hint; it must be the
-        # point the search finds for the same scheme read from its document
+        # the factories take their point from the cone search; it must be
+        # the point found for the same scheme read from its document
         for scheme in (*map(builtin_scheme, builtin_names()),
                        *map(p1_power_scheme, range(1, 5))):
             searched = load_scheme(scheme.to_document()).interior_point
@@ -534,11 +534,6 @@ for call in (lambda: load_scheme(doc(ample_cone=[[1.5]])),
              lambda: strided_nilpotent_powers(Matrix.identity(2), 0),
              lambda: symbolic_class(line, (True,)),
              lambda: symbolic_class(line, (1, 1)),
-             # a hint is the point only when it is rho ints
-             lambda: NumericalScheme.build("x", 2, 2, MultiPoly(2, {(0, 0): 1}),
-                                           ((1, 0), (1, 1)), interior_hint=(1,)),
-             lambda: NumericalScheme.build("x", 2, 2, MultiPoly(2, {(0, 0): 1}),
-                                           ((1, 0), (0, 1)), interior_hint=(True, True)),
              # int arguments checked by one helper, also inside the typed
              # memos, where a warm int entry must not answer for a bool
              lambda: MultiPoly(1.5, {}),
@@ -636,6 +631,6 @@ STAR_ERRORS = [
 def test_bad_schemes_rejected_under_optimize():
     # python -O strips asserts, so this fails wherever validation is an assert
     lines = run_python("-O", "-c", _BAD_SCHEMES).splitlines()
-    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 129
+    assert [line.split(":")[0] for line in lines] == ["ParseError"] * 127
     messages = ARRAY_ERRORS + SHAPE_ERRORS + STAR_ERRORS
     assert lines[-len(messages):] == [f"ParseError: {m}" for m in messages]
