@@ -224,7 +224,7 @@ def eventual_ampleness(sys: BimoduleSystem,
     s = sys.s
     cone = sys.scheme.cone
     records: list[BranchRecord] = []
-    branch_shifts: dict[tuple[int, ...], int] = {}
+    m0 = [0] * s
     saw_unknown = False
     # a cone-preserving action permutes the functionals, so most
     # polynomials recur; each distinct one is searched once
@@ -260,18 +260,13 @@ def eventual_ampleness(sys: BimoduleSystem,
             else:
                 saw_unknown = True
                 records.append(BranchRecord(residue, k, "unknown"))
-        branch_shifts[residue] = shift
+        # a branch certified from shift t covers its residues beyond c + r*(t-1),
+        # so the corner is the componentwise max of those cutoffs plus one
+        if shift >= 1:
+            m0 = [max(m, c + r * (shift - 1) + 1) for m, c, r in zip(m0, residue, periods)]
     if saw_unknown:
         return _verdict("Undetermined", sys, search_bound, screen,
                         records=tuple(records))
-    # assemble the corner: a branch certified from diagonal shift t covers
-    # its residue class beyond c_i + r_i*(t-1), so the corner is the
-    # componentwise max of those cutoffs plus one
-    m0 = [0] * s
-    for residue, t in branch_shifts.items():
-        if t >= 1:
-            for i in range(s):
-                m0[i] = max(m0[i], residue[i] + periods[i] * (t - 1) + 1)
     return _verdict("NCAmple", sys, search_bound, screen, m0=tuple(m0),
                     records=tuple(records))
 

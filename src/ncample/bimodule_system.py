@@ -38,7 +38,11 @@ class BimoduleSystem:
         rho = self.scheme.rho
         if not self.bimodules:
             raise ParseError("a system needs at least one bimodule")
-        for i, bim in enumerate(self.bimodules):
+        # equal bundles pass every check and each pair check is symmetric,
+        # so the first failure in index order is among first occurrences
+        firsts = _first_indices(self.bimodules)
+        for i in firsts:
+            bim = self.bimodules[i]
             if len(bim.divisor) != rho or bim.action.rho != rho:
                 raise ParseError(
                     f"bimodule {i} does not match lattice rank {rho}")
@@ -46,14 +50,12 @@ class BimoduleSystem:
             d = bim.action.det()
             if d not in (1, -1):
                 raise NonInvertible(index=i, det=d)
-        for i in range(len(self.bimodules)):
-            for j in range(i + 1, len(self.bimodules)):
-                mi = self.bimodules[i].action
-                mj = self.bimodules[j].action
-                # equal actions commute; only their classes need the check
-                if mi != mj and mi * mj != mj * mi:
-                    raise MatrixCommutationFail(i, j)
-                _check_classes_commute(self.bimodules, i, j)
+        for i, j in itertools.combinations(firsts, 2):
+            mi, mj = self.bimodules[i].action, self.bimodules[j].action
+            # equal actions commute; only their classes need the check
+            if mi != mj and mi * mj != mj * mi:
+                raise MatrixCommutationFail(i, j)
+            _check_classes_commute(self.bimodules, i, j)
 
     @staticmethod
     def _trusted(scheme: NumericalScheme, bimodules: tuple[Bimodule, ...]) -> "BimoduleSystem":
@@ -76,6 +78,14 @@ def _check_classes_commute(bimodules, i: int, j: int) -> None:
     left = tuple(map(add, di, bimodules[i].action.apply(dj)))
     if left != tuple(map(add, dj, bimodules[j].action.apply(di))):
         raise ClassCommutationFail(i, j)
+
+
+def _first_indices(values) -> list[int]:
+    """The index of the first occurrence of each distinct value, in order."""
+    first: dict = {}
+    for i, value in enumerate(values):
+        first.setdefault(value, i)
+    return list(first.values())
 
 
 def make_system(scheme, pairs, stars=None) -> BimoduleSystem:
@@ -101,44 +111,34 @@ def _twisted_walk(sys: BimoduleSystem, ranges):
     With the grades after a at 0, a step along bundle a adds M^n d_a to the
     class and multiplies the action by M_a, so only the first grade of each
     run goes through a geometric sum and a power, once per bundle, and a
-    run that starts at grade 0 takes neither.  The walk keeps its own
-    stack, so s is not bounded by the recursion limit.
+    run that starts at grade 0 takes neither.
     """
     runs = [exact_ints(r, "grade", at_least=0) for r in ranges]
     if len(runs) != sys.s:
         raise ParseError(f"need {sys.s} runs of nonnegative integer grades, got {runs}")
-    if not all(runs):
-        return
     steps = [(bim.divisor.coords, bim.action) for bim in sys.bimodules]
-    firsts = [(geometric_sum(m, run[0]).apply(d), m ** run[0]) if run[0] else None
+    firsts = [(geometric_sum(m, run[0]).apply(d), m ** run[0]) if run and run[0] else None
               for (d, m), run in zip(steps, runs)]
-    n: list[int] = []
     # at[a]: the class and action at the grades n[:a]
-    at = [((0,) * sys.scheme.rho, Matrix.identity(sys.scheme.rho))]
-    pending = [iter(runs[0])]  # pending[a]: the grades bundle a has yet to take
-    while pending:
-        a = len(pending) - 1
-        x = next(pending[a], None)
-        if x is None:
-            pending.pop()
-            del n[a:], at[a + 1:]
-            continue
-        if len(n) > a:
-            # a later grade of the run steps on from the one before
-            n.pop()
-            (coords, action), step = at.pop(), steps[a]
-        else:
-            (coords, action), step = at[a], firsts[a]
-        if step is not None:
-            part, power = step
-            coords = tuple(map(add, coords, action.apply(part)))
-            action = action * power
-        n.append(x)
-        at.append((coords, action))
-        if a + 1 < sys.s:
-            pending.append(iter(runs[a + 1]))
-        else:
-            yield tuple(n), coords, action
+    at = [((0,) * sys.scheme.rho, Matrix.identity(sys.scheme.rho))] * (sys.s + 1)
+    last = None
+    for n in itertools.product(*runs):
+        # the first grade that differs from the last n steps on from its old
+        # state, and the grades after it restart from their runs' first grades
+        a = 0
+        if last is not None:
+            while n[a] == last[a]:
+                a += 1
+        for b in range(a, sys.s):
+            (coords, action), step = (
+                (at[b + 1], steps[b]) if last is not None and b == a else (at[b], firsts[b]))
+            if step is not None:
+                part, power = step
+                coords = tuple(map(add, coords, action.apply(part)))
+                action = action * power
+            at[b + 1] = coords, action
+        last = n
+        yield (n, *at[-1])
 
 
 def class_at(sys: BimoduleSystem, n) -> DivisorClass:

@@ -253,8 +253,11 @@ def _report_built(args, report, built) -> int:
         if args.emit == "-":
             sys.stdout.write(text)
         else:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.emit, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.emit}: {exc}") from exc
         report["payload"]["emitted"] = args.emit
     return 0
 

@@ -270,8 +270,8 @@ def load_scheme(document) -> NumericalScheme:
 
 
 def _as_dict(document) -> dict:
-    """A document as a dict: a dict as it is, or JSON text, where bytes are
-    read as UTF-8."""
+    """A document as a dict: a dict as it is, or JSON text (bytes read as
+    UTF-8); over-deep nesting and over-long integers are invalid JSON."""
     if isinstance(document, dict):
         return document
     if isinstance(document, (str, bytes)):
@@ -279,7 +279,7 @@ def _as_dict(document) -> dict:
             if isinstance(document, bytes):
                 document = document.decode("utf-8")
             doc = json.loads(document)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("top-level JSON value must be an object")

@@ -17,12 +17,12 @@ from math import gcd, lcm
 from operator import add
 
 from .bimodule_system import (Bimodule, BimoduleSystem, _check_classes_commute,
-                              _read_bimodules, _twisted_walk)
+                              _first_indices, _read_bimodules, _twisted_walk)
 from .errors import (DegreeMismatch, ParseError, exact_int, exact_ints, int_tuple,
                      strict_int)
 from .lattice_algebra import Matrix
 from .numeric_polynomials import _values
-from .scheme_model import DivisorClass, _rational, p1_power_scheme
+from .scheme_model import DivisorClass, _as_dict, _rational, p1_power_scheme
 
 # A Moebius factor ((a, b), (c, d)) / den as the five integers
 # (a, b, c, d, den), with den > 0 and gcd(a, b, c, d, den) = 1, so equal
@@ -420,14 +420,16 @@ class OracleRing:
         for deg, sigma in pairs:
             if len(deg) != d or sigma.d != d:
                 raise ParseError("bundle or automorphism does not match d")
-        for (i, (_, a)), (j, (_, b)) in itertools.combinations(enumerate(pairs), 2):
-            if not a.commutes_projectively(b):
+        # equal values pass each symmetric check, as in BimoduleSystem
+        autos = [sigma for _, sigma in pairs]
+        for i, j in itertools.combinations(_first_indices(autos), 2):
+            if not autos[i].commutes_projectively(autos[j]):
                 raise ParseError(f"automorphisms {i} and {j} do not commute projectively")
         scheme = p1_power_scheme(d)
         if not pairs:
             raise ParseError("a system needs at least one bimodule")
         shadow = tuple(bimodules)
-        for i, j in itertools.combinations(range(len(shadow)), 2):
+        for i, j in itertools.combinations(_first_indices(shadow), 2):
             _check_classes_commute(shadow, i, j)
         return BimoduleSystem._trusted(scheme, shadow)
 
@@ -692,8 +694,7 @@ def load_oracle(document) -> OracleRing:
 
     It runs the checks of OracleRing(d, pairs), with the same errors, on
     the declared matrices once they are known to be those actions."""
-    if not isinstance(document, dict):
-        raise ParseError("oracle loader needs a parsed document")
+    document = _as_dict(document)
     if "oracle" not in document:
         raise ParseError("document has no oracle member")
     member = document["oracle"]

@@ -119,6 +119,42 @@ class TestValidation:
         assert calls == [(1, 1), (2, 1)]
         assert sys == make_system(builtin_scheme("P1xP1"), pairs)
 
+    def test_equal_bundles_skip_pairwise_checks(self, monkeypatch):
+        calls = []
+        check = bimodule_system._check_classes_commute
+        monkeypatch.setattr(bimodule_system, "_check_classes_commute",
+                            lambda bims, i, j: calls.append((i, j)) or check(bims, i, j))
+        shear = Matrix.from_rows([[1, 1], [0, 1]])
+        make_system(builtin_scheme("P1xP1"), [((1, 1), shear)] * 40)
+        assert calls == []
+        # each distinct pair once, named by first occurrences
+        make_system(builtin_scheme("P1xP1"),
+                    [((1, 1), shear), ((2, 1), shear), ((1, 1), shear), ((2, 1), shear),
+                     ((3, 1), shear)])
+        assert calls == [(0, 1), (0, 4), (1, 4)]
+
+    def test_errors_keep_their_indices(self):
+        # the first failure in index order is the one reported, repeats or not
+        rot = Matrix.from_rows([[0, -1], [1, 0]])
+        upper = Matrix.from_rows([[1, 1], [0, 1]])
+        with pytest.raises(MatrixCommutationFail) as info:
+            make_system(builtin_scheme("P1xP1"),
+                        [((0, 0), rot), ((0, 0), rot), ((0, 0), upper)])
+        assert (info.value.i, info.value.j) == (0, 2)
+        with pytest.raises(ClassCommutationFail) as info:
+            make_system(builtin_scheme("P1xP1"),
+                        [((1, 0), SWAP), ((1, 0), SWAP), ((0, 1), SWAP), ((0, 1), SWAP)])
+        assert (info.value.i, info.value.j) == (0, 2)
+        singular = Matrix.from_rows([[2, 0], [0, 1]])
+        for bundles, index in (([((1, 0), singular)] * 3, 0),
+                               ([((1, 0), upper), ((1, 0), singular), ((1, 0), singular)], 1)):
+            with pytest.raises(NonInvertible) as info:
+                make_system(builtin_scheme("P1xP1"), bundles)
+            assert info.value.index == index
+        with pytest.raises(ParseError, match="bimodule 1 does not match lattice rank 2"):
+            make_system(builtin_scheme("P1xP1"),
+                        [((1, 0), upper), ((1,), IDENT[1]), ((1,), IDENT[1])])
+
 
 class TestClassAt:
     def test_origin_is_zero(self):

@@ -180,6 +180,23 @@ class TestVerdict:
         assert report["payload"]["kind"] == "SigmaAmple"
         assert report["payload"]["power"] == 1
 
+    def test_single_undetermined_reports(self, tmp_path):
+        # no power of O(-1) is ample, and the negative ray rides along
+        doc = load_data("p1-O1.json")
+        doc["bimodules"][0]["divisor"] = [-1]
+        code, report = run(["verdict", "--single", "--json", write_doc(tmp_path, "neg.json", doc)])
+        assert code == 2
+        payload = report["payload"]
+        assert payload["kind"] == "Undetermined"
+        witness = payload["supplementary_witness"]
+        assert (witness["base"], witness["direction"], witness["threshold"]) == ([0], [1], 1)
+        assert "a cofinal negative ray exists" in payload["notes"][-1]
+        # bound 0 samples no power, and O(1) has no negative ray
+        code, report = run(["verdict", data("p1-O1.json"), "--single", "--bound", "0"])
+        assert code == 2
+        assert report["payload"]["kind"] == "Undetermined"
+        assert "supplementary_witness" not in report["payload"]
+
     def test_bound_flag(self):
         code, report = run(
             ["verdict", "--bound", "4", data("builtin-pair.json")])
@@ -236,6 +253,14 @@ class TestGk:
         assert code == 2
         assert report["payload"]["verdict_kind"] == "Undetermined"
 
+    def test_vanishing_count_exit_one(self, tmp_path):
+        doc = load_data("p1-O1.json")
+        doc["euler"] = []
+        code, report = run(["gk", write_doc(tmp_path, "zero.json", doc)])
+        assert code == 1
+        assert report["payload"] == {
+            "error": "dimension-counting polynomial vanishes identically on the stride"}
+
 
 class TestClassCommand:
     def test_evaluation(self):
@@ -258,6 +283,15 @@ class TestClassCommand:
     def test_negative_rejected(self):
         code, _ = run(["class", data("builtin-pair.json"), "--at", "-1,0"])
         assert code == 1
+        code, report = run(["class", data("p1-O1.json"), "--at=-1"])
+        assert code == 1
+        assert report["payload"] == {"error": "grade entries must be nonnegative"}
+
+    def test_non_integer_rejected(self):
+        code, report = run(["class", data("p1-O1.json"), "--at", "1,x"])
+        assert code == 1
+        assert report["payload"] == {
+            "error": "expected a comma-separated integer vector: '1,x'"}
 
 
 class TestConstructorPipelines:
@@ -317,6 +351,14 @@ class TestConstructorPipelines:
                 assert "emitted: -" in captured.err.splitlines()
             code, report = run(["verdict", write_doc(tmp_path, "d.json", emitted)])
             assert code == 0 and report["payload"]["kind"] == "NCAmple"
+
+    def test_unwritable_emit_path(self, tmp_path, capsys):
+        # a write error is a plain error, not a traceback
+        for path in (tmp_path / "no-such-dir" / "x.json", tmp_path):
+            assert main(["dual", data("p1-O1.json"), "--emit", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"ncample: cannot write {path}: [Errno")
 
     def test_veronese_bad_stride(self):
         code, report = run(["veronese", data("p1-O1.json"), "--strides", "0"])

@@ -598,6 +598,19 @@ class TestEventuallyPositive:
         res = eventually_positive(q, 8)
         assert res.is_no and res.direction == (6, 1)
 
+    def test_coarse_base_ray(self):
+        # (n1 - n2)^2 + 20 (n1 - n2) grows along every ray from the origin,
+        # and its degenerate direction (1, 1) is negative only from a base
+        # with n2 - n1 in (0, 20): the coarse grid finds (0, bound / 2)
+        p = MultiPoly.from_monomials(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1,
+                                         (1, 0): 20, (0, 1): -20})
+        for bound, base, value in ((16, (0, 8), -96), (4, (0, 2), -36)):
+            res = eventually_positive(p, bound)
+            assert res.is_no
+            assert (res.base, res.direction, res.threshold) == (base, (1, 1), 1)
+            for t in range(1, 6):
+                assert p.evaluate((base[0] + t, base[1] + t)) == value
+
     @pytest.mark.parametrize("poly, bound", [
         # -n^2 reaches the ray search, n - 1 is certified before the bound
         # is read, and a bool is an int to isinstance

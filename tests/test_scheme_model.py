@@ -268,6 +268,19 @@ class TestLoadScheme:
             with pytest.raises(ParseError, match="invalid JSON: 'utf-8' codec"):
                 load(raw)
 
+    def test_over_deep_nesting_is_invalid_json(self):
+        text = "[" * 100_000 + "]" * 100_000
+        for load in (load_scheme, load_system):
+            with pytest.raises(ParseError, match="invalid JSON: maximum recursion depth"):
+                load(text)
+
+    def test_over_long_integer_is_invalid_json(self):
+        # the interpreter's digit limit stays: it guards against slow parsing
+        text = '{"name": "P1", "dim": ' + "9" * 5000 + "}"
+        for load in (load_scheme, load_system):
+            with pytest.raises(ParseError, match="invalid JSON: Exceeds the limit"):
+                load(text)
+
 
 class TestRational:
     """The one parser of rational document entries reads what

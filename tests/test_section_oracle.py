@@ -728,11 +728,44 @@ class TestLoadOracle:
         with pytest.raises(ParseError):
             load_oracle(doc)
 
+    def test_equal_pairs_checked_once(self, monkeypatch):
+        commuted, classes = [], []
+        real = FactorAutomorphism.commutes_projectively
+        monkeypatch.setattr(FactorAutomorphism, "commutes_projectively",
+                            lambda a, b: commuted.append(1) or real(a, b))
+        check = section_oracle._check_classes_commute
+        monkeypatch.setattr(section_oracle, "_check_classes_commute",
+                            lambda bims, i, j: classes.append((i, j)) or check(bims, i, j))
+        ident = FactorAutomorphism.identity(1)
+        assert OracleRing(1, [((1,), ident)] * 30).s == 30
+        assert (commuted, classes) == ([], [])
+        # repeats do not move the first failing pair
+        doc = oracle_doc(1, [([1], [[1]], [1], [ROTATION]), ([1], [[1]], [1], [ROTATION]),
+                             ([1], [[1]], [1], [SHEAR])])
+        with pytest.raises(ParseError, match="automorphisms 0 and 2 do not commute"):
+            load_oracle(doc)
+
     def test_rejects_missing_member(self):
         with pytest.raises(ParseError):
             load_oracle({"bimodules": []})
-        with pytest.raises(ParseError):
-            load_oracle(json.dumps(self._doc()))
+        doc = self._doc()
+        del doc["oracle"]
+        with pytest.raises(ParseError, match="document has no oracle member"):
+            load_oracle(json.dumps(doc))
+
+    def test_reads_text_as_load_system_does(self):
+        # one parser: JSON text or bytes give the ring the dict gives
+        doc = self._doc()
+        ring = load_oracle(doc)
+        for text in (json.dumps(doc), json.dumps(doc).encode()):
+            other = load_oracle(text)
+            assert (other.d, other.pairs, other._shadow) == (ring.d, ring.pairs, ring._shadow)
+        for bad, message in ((None, "cannot read a document from NoneType"),
+                             ([doc], "cannot read a document from list"),
+                             ("[1]", "top-level JSON value must be an object"),
+                             ("{", "invalid JSON")):
+            with pytest.raises(ParseError, match=message):
+                load_oracle(bad)
 
     def test_rejects_count_mismatch(self):
         doc = self._doc()
