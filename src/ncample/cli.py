@@ -1,13 +1,15 @@
 """Command line front end.
 
-Subcommands: validate, verdict, gk, class, dual, veronese, rees, tensor,
-oracle compare.  Exit codes: 0 decisive success, 2 honest indecision
-(Undetermined), 1 validation or usage error.
+Subcommands, each declared once with its handler in _build_parser:
+validate, verdict, gk, class, dual, veronese, rees, tensor, oracle compare.
+Exit codes: 0 decisive success, 2 honest indecision (Undetermined), 1
+validation or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -21,8 +23,6 @@ from .errors import NcampleError, NotNCAmple, ParseError
 from .gk_dimension import gk
 from .scheme_model import _as_dict, builtin_scheme, load_scheme
 from .section_oracle import cross_validate, load_oracle
-
-_BUILTIN_PREFIX = "builtin:"
 
 
 def _read_document(path: str) -> tuple[dict, dict]:
@@ -38,26 +38,26 @@ def _read_document(path: str) -> tuple[dict, dict]:
     return doc, {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
-def _resolve_scheme_source(source: str) -> tuple[dict, dict]:
-    if source.startswith(_BUILTIN_PREFIX):
-        name = source[len(_BUILTIN_PREFIX):]
-        return builtin_scheme(name).to_document(), {"builtin": name}
-    return _read_document(source)
+def _load_input(args, report) -> dict:
+    """Read the positional document, splicing in --scheme (a JSON path or
+    builtin:NAME) when given, and record where they came from in the report."""
+    doc, meta = _read_document(args.input)
+    if args.scheme is not None:
+        if args.scheme.startswith("builtin:"):
+            name = args.scheme[len("builtin:"):]
+            scheme_doc, scheme_meta = builtin_scheme(name).to_document(), {"builtin": name}
+        else:
+            scheme_doc, scheme_meta = _read_document(args.scheme)
+        doc = {**scheme_doc, **{k: doc[k] for k in ("bimodules", "oracle") if k in doc}}
+        meta = {**meta, "scheme": scheme_meta}
+    report["input"] = meta
+    return doc
 
 
-def _load_input(path: str, scheme_source: str | None) -> tuple[dict, dict]:
-    """Read the positional document, splicing in --scheme when given."""
-    doc, meta = _read_document(path)
-    if scheme_source is not None:
-        scheme_doc, scheme_meta = _resolve_scheme_source(scheme_source)
-        merged = dict(scheme_doc)
-        for key in ("bimodules", "oracle"):
-            if key in doc:
-                merged[key] = doc[key]
-        doc = merged
-        meta = dict(meta)
-        meta["scheme"] = scheme_meta
-    return doc, meta
+def _load(args, report) -> tuple[dict, bs.BimoduleSystem]:
+    """The positional document, read as _load_input does, and its system."""
+    doc = _load_input(args, report)
+    return doc, bs.load_system(doc)
 
 
 def _parse_vector(text: str, expect_len: int | None = None) -> tuple[int, ...]:
@@ -78,7 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "divisor systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bound=False):
+    def command(subparsers, name, helptext, handler, bound=False, emit=False):
+        """Declare a subcommand on one input document, bound to its handler."""
+        p = subparsers.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
         p.add_argument("input", help="JSON document (scheme plus bimodules)")
         p.add_argument("--scheme", default=None,
                        help="scheme source: a JSON path or builtin:NAME")
@@ -90,37 +93,26 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "and base entry) and of the --single power scan "
                                 f"(default {DEFAULT_SEARCH_BOUND}); corners are "
                                 "searched without limit")
+        if emit:
+            p.add_argument("--emit", default=None, metavar="PATH",
+                           help="write the constructed document here ('-' = stdout)")
+        return p
 
-    p = sub.add_parser("validate", help="parse and validate a document")
-    add_common(p)
-
-    p = sub.add_parser("verdict", help="decide NC-ampleness")
-    add_common(p, bound=True)
-    p.add_argument("--single", action="store_true",
-                   help="use the one-bundle ample-power criterion (s = 1)")
-
-    p = sub.add_parser("gk", help="growth certificate for the section ring")
-    add_common(p, bound=True)
-
-    p = sub.add_parser("class", help="evaluate the expanded class at a grade")
-    add_common(p)
-    p.add_argument("--at", required=True,
-                   help="grade vector, comma separated, one entry per bundle")
-
-    for name, helptext in (
-            ("dual", "emit the inverse-data system"),
-            ("veronese", "emit the stride-subsampled system"),
-            ("rees", "emit the duplicated one-bundle system"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        add_common(p)
-        p.add_argument("--emit", default=None, metavar="PATH",
-                       help="write the constructed document here ('-' = stdout)")
-        if name == "veronese":
-            p.add_argument("--strides", required=True,
-                           help="positive stride vector, comma separated")
+    command(sub, "validate", "parse and validate a document", _cmd_validate)
+    command(sub, "verdict", "decide NC-ampleness", _cmd_verdict, bound=True).add_argument(
+        "--single", action="store_true",
+        help="use the one-bundle ample-power criterion (s = 1)")
+    command(sub, "gk", "growth certificate for the section ring", _cmd_gk, bound=True)
+    command(sub, "class", "evaluate the expanded class at a grade", _cmd_class).add_argument(
+        "--at", required=True, help="grade vector, comma separated, one entry per bundle")
+    command(sub, "dual", "emit the inverse-data system", _cmd_dual, emit=True)
+    command(sub, "veronese", "emit the stride-subsampled system", _cmd_veronese,
+            emit=True).add_argument("--strides", required=True,
+                                    help="positive stride vector, comma separated")
+    command(sub, "rees", "emit the duplicated one-bundle system", _cmd_rees, emit=True)
 
     p = sub.add_parser("tensor", help="emit the product of two systems")
+    p.set_defaults(handler=_cmd_tensor)
     p.add_argument("input", help="first JSON document")
     p.add_argument("other", help="second JSON document")
     p.add_argument("--json", action="store_true", dest="as_json")
@@ -129,10 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="section-ring cross validation")
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
-    p = osub.add_parser("compare",
-                        help="compare brute-force section counts with the "
-                             "numerical engine")
-    add_common(p)
+    p = command(osub, "compare", "compare brute-force section counts with the "
+                                 "numerical engine", _cmd_oracle_compare)
     p.add_argument("--range", type=int, default=4, dest="grade_range",
                    help="check all grades in [1, N]^s (default 4)")
     p.add_argument("--seed", type=int, default=0,
@@ -141,8 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args, report) -> int:
-    doc, meta = _load_input(args.input, args.scheme)
-    report["input"] = meta
+    doc = _load_input(args, report)
     # load_system reads the scheme before the bimodules, so the first
     # error is the same as from load_scheme alone; an oracle member is
     # read from the bimodules, so it needs them too
@@ -177,22 +166,16 @@ def _flag(flag: str, what: str, value: int, at_least: int) -> int:
 
 def _cmd_verdict(args, report) -> int:
     bound = _flag("--bound", "search bound", args.bound, 0)
-    doc, meta = _load_input(args.input, args.scheme)
-    report["input"] = meta
-    system = bs.load_system(doc)
-    if args.single:
-        verdict = sigma_ample_verdict(system, search_bound=bound)
-    else:
-        verdict = nc_ample_verdict(system, search_bound=bound)
+    _, system = _load(args, report)
+    decide = sigma_ample_verdict if args.single else nc_ample_verdict
+    verdict = decide(system, search_bound=bound)
     report["payload"] = verdict.to_json()
     return 0 if verdict.decisive else 2
 
 
 def _cmd_gk(args, report) -> int:
     bound = _flag("--bound", "search bound", args.bound, 0)
-    doc, meta = _load_input(args.input, args.scheme)
-    report["input"] = meta
-    system = bs.load_system(doc)
+    _, system = _load(args, report)
     try:
         cert = gk(system, search_bound=bound)
     except NotNCAmple as exc:
@@ -204,9 +187,7 @@ def _cmd_gk(args, report) -> int:
 
 
 def _cmd_class(args, report) -> int:
-    doc, meta = _load_input(args.input, args.scheme)
-    report["input"] = meta
-    system = bs.load_system(doc)
+    _, system = _load(args, report)
     at = _parse_vector(args.at, expect_len=system.s)
     if any(n < 0 for n in at):
         raise ParseError("grade entries must be nonnegative")
@@ -220,19 +201,19 @@ def _cmd_class(args, report) -> int:
     return 0
 
 
-def _cmd_constructor(args, report) -> int:
-    doc, meta = _load_input(args.input, args.scheme)
-    report["input"] = meta
-    system = bs.load_system(doc)
-    if args.command == "dual":
-        built = bs.dual(system)
-    elif args.command == "veronese":
-        strides = [_flag("--strides", "stride", n, 1)
-                   for n in _parse_vector(args.strides, expect_len=system.s)]
-        built = bs.veronese(system, strides)
-    else:
-        built = bs.rees(system)
-    return _report_built(args, report, built)
+def _cmd_dual(args, report) -> int:
+    return _report_built(args, report, bs.dual(_load(args, report)[1]))
+
+
+def _cmd_veronese(args, report) -> int:
+    _, system = _load(args, report)
+    strides = [_flag("--strides", "stride", n, 1)
+               for n in _parse_vector(args.strides, expect_len=system.s)]
+    return _report_built(args, report, bs.veronese(system, strides))
+
+
+def _cmd_rees(args, report) -> int:
+    return _report_built(args, report, bs.rees(_load(args, report)[1]))
 
 
 def _cmd_tensor(args, report) -> int:
@@ -249,7 +230,8 @@ def _report_built(args, report, built) -> int:
     out = bs.system_to_document(built)
     report["payload"] = {"document": out}
     if args.emit is not None:
-        text = json.dumps(out, sort_keys=True, indent=2) + "\n"
+        with _any_length_ints():
+            text = json.dumps(out, sort_keys=True, indent=2) + "\n"
         if args.emit == "-":
             sys.stdout.write(text)
         else:
@@ -263,9 +245,7 @@ def _report_built(args, report, built) -> int:
 
 
 def _cmd_oracle_compare(args, report) -> int:
-    doc, meta = _load_input(args.input, args.scheme)
-    report["input"] = meta
-    system = bs.load_system(doc)
+    doc, system = _load(args, report)
     ring = load_oracle(doc)
     payload = cross_validate(
         ring, system, grade_range=_flag("--range", "grade range", args.grade_range, 1),
@@ -273,6 +253,19 @@ def _cmd_oracle_compare(args, report) -> int:
         triple=(0, 1, 2) if ring.s >= 3 else None)
     report["payload"] = payload
     return 0 if payload["ok"] else 1
+
+
+@contextlib.contextmanager
+def _any_length_ints():
+    """Lift the interpreter's int-string limit while the CLI writes its own
+    output; documents are still read under it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 def _render_text(report: dict) -> str:
@@ -294,19 +287,6 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "verdict": _cmd_verdict,
-    "gk": _cmd_gk,
-    "class": _cmd_class,
-    "dual": _cmd_constructor,
-    "veronese": _cmd_constructor,
-    "rees": _cmd_constructor,
-    "tensor": _cmd_tensor,
-    "oracle": _cmd_oracle_compare,
-}
-
-
 def run(argv) -> tuple[int, dict]:
     """Parse argv, dispatch, and return (exit code, run report)."""
     return _run(argv)[:2]
@@ -325,7 +305,7 @@ def _run(argv) -> tuple[int, dict, argparse.Namespace | None]:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = _DISPATCH[args.command](args, report)
+            code = args.handler(args, report)
             report["warnings"] = [str(w.message) for w in caught]
     except NcampleError as exc:
         report["payload"] = {"error": str(exc)}
@@ -341,11 +321,11 @@ def main(argv=None) -> int:
     # with --emit -, stdout carries the emitted document alone
     out = sys.stderr if getattr(args, "emit", None) == "-" else sys.stdout
     payload = report.get("payload", {})
-    if getattr(args, "as_json", False):
-        print(json.dumps(report, sort_keys=True, indent=2), file=out)
-    elif payload or report.get("warnings"):
+    with _any_length_ints():
+        if getattr(args, "as_json", False):
+            print(json.dumps(report, sort_keys=True, indent=2), file=out)
         # plain errors already went to the diagnostic stream
-        if not (code != 0 and set(payload) <= {"error", "verdict_kind"}):
+        elif not (code != 0 and set(payload) <= {"error", "verdict_kind"}):
             text = _render_text(report)
             if text:
                 print(text, file=out)

@@ -259,13 +259,19 @@ def load_scheme(document) -> NumericalScheme:
             if len(expts) != rho or any(e < 0 for e in expts):
                 raise ParseError(f"bad euler exponents {list(expts)}")
             monomials[expts] = monomials.get(expts, 0) + _rational(term["coeff"])
+        # the basis change costs about the cube of the degree, so a degree
+        # above dim is refused before it, with NumericalScheme.build's message
+        dim = strict_int(doc["dim"], "dim")
+        degree = max((sum(e) for e, q in monomials.items() if q), default=0)
+        if 0 <= dim < degree:
+            raise ParseError(f"euler polynomial degree {degree} exceeds dim {dim}")
     except ParseError:
         raise
     except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed scheme document: {exc}") from exc
     euler = MultiPoly.from_monomials(rho, monomials)
     return NumericalScheme.build(
-        doc["name"], doc["dim"], rho, euler, doc["ample_cone"],
+        doc["name"], dim, rho, euler, doc["ample_cone"],
         note=doc.get("note", ""))
 
 

@@ -371,7 +371,8 @@ def pullback(sigma: FactorAutomorphism, section: MultiSection) -> MultiSection:
         g, place = sigma.mobius[k], places[sigma.perm[k]]
         factors.append((deg[k] + 1, [[(i * place, c) for i, c in image]
                                      for image in _factor_images(g, deg[k])]))
-        den *= g[4] ** deg[k]
+        # a negative degree has no sections, so its factor adds no denominator
+        den *= g[4] ** max(deg[k], 0)
     out: dict[int, int] = {}
     get = out.get
     for code, coeff in section.codes.items():

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import sys
 
 import pytest
 
@@ -472,6 +474,21 @@ class TestOracleCompare:
         assert code == 1
         assert "error" in report["payload"]
 
+    def test_negative_multidegree_document(self, tmp_path):
+        # validate and verdict read this document; its pieces of negative
+        # multidegree are zero and multiply as zero
+        doc = load_data("swap-ring.json")
+        doc["bimodules"][0]["divisor"] = [-1, 0]
+        path = write_doc(tmp_path, "negative.json", doc)
+        assert run(["validate", path])[0] == 0
+        assert run(["verdict", path])[1]["payload"]["kind"] == "EventualAmplenessFail"
+        code, report = run(["oracle", "compare", path])
+        assert code == 0
+        payload = report["payload"]
+        assert (payload["hilbert"]["checked"], payload["hilbert"]["skipped"]) == (0, 4)
+        assert payload["associativity"] == {"samples": 50, "failures": 0}
+        assert payload["opposite_ok"] is True
+
     def test_empty_range_rejected(self):
         for bad in ("0", "-1"):
             code, report = run(["oracle", "compare", data("swap-ring.json"),
@@ -538,6 +555,131 @@ class TestMain:
         code = main(["verdict", data("unipotent-warning.json")])
         assert code == 0
         assert "warning:" in capsys.readouterr().out
+
+
+INPUT = ((), "input", None, True, "JSON document (scheme plus bimodules)", None)
+SCHEME = (("--scheme",), "scheme", None, False,
+          "scheme source: a JSON path or builtin:NAME", None)
+JSON = (("--json",), "as_json", False, False, "print the full machine-readable report",
+        None)
+BOUND = (("--bound",), "bound", 16, False,
+         "limit of the negative-ray search (largest direction and base entry) and of "
+         "the --single power scan (default 16); corners are searched without limit",
+         None)
+EMIT = (("--emit",), "emit", None, False,
+        "write the constructed document here ('-' = stdout)", "PATH")
+
+# (option strings, dest, default, required, help, metavar) of every argument,
+# in declaration order, keyed by the subcommand path and its help text
+DECLARATIONS = {
+    ("validate", "parse and validate a document"): [INPUT, SCHEME, JSON],
+    ("verdict", "decide NC-ampleness"): [
+        INPUT, SCHEME, JSON, BOUND,
+        (("--single",), "single", False, False,
+         "use the one-bundle ample-power criterion (s = 1)", None)],
+    ("gk", "growth certificate for the section ring"): [INPUT, SCHEME, JSON, BOUND],
+    ("class", "evaluate the expanded class at a grade"): [
+        INPUT, SCHEME, JSON,
+        (("--at",), "at", None, True,
+         "grade vector, comma separated, one entry per bundle", None)],
+    ("dual", "emit the inverse-data system"): [INPUT, SCHEME, JSON, EMIT],
+    ("veronese", "emit the stride-subsampled system"): [
+        INPUT, SCHEME, JSON, EMIT,
+        (("--strides",), "strides", None, True,
+         "positive stride vector, comma separated", None)],
+    ("rees", "emit the duplicated one-bundle system"): [INPUT, SCHEME, JSON, EMIT],
+    ("tensor", "emit the product of two systems"): [
+        ((), "input", None, True, "first JSON document", None),
+        ((), "other", None, True, "second JSON document", None),
+        (("--json",), "as_json", False, False, None, None), EMIT],
+    ("oracle", "section-ring cross validation"): [
+        ((), "oracle_command", None, True, None, None)],
+    ("oracle compare",
+     "compare brute-force section counts with the numerical engine"): [
+        INPUT, SCHEME, JSON,
+        (("--range",), "grade_range", 4, False,
+         "check all grades in [1, N]^s (default 4)", None),
+        (("--seed",), "seed", 0, False, "seed for the random product samples", None)],
+}
+
+
+class TestDeclarations:
+    """Every subcommand's arguments, pinned as declared rather than as
+    rendered, since argparse's help headings differ between Pythons."""
+
+    @staticmethod
+    def declared(parser, prefix=()):
+        found = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                helps = {c.dest: c.help for c in action._choices_actions}
+                for name, sub in action.choices.items():
+                    path = prefix + (name,)
+                    found[(" ".join(path), helps[name])] = [
+                        (tuple(a.option_strings), a.dest, a.default, a.required,
+                         a.help, a.metavar)
+                        for a in sub._actions
+                        if not isinstance(a, argparse._HelpAction)]
+                    found.update(TestDeclarations.declared(sub, path))
+        return found
+
+    def test_every_subcommand_declared_as_pinned(self):
+        found = self.declared(cli._build_parser())
+        assert list(found) == list(DECLARATIONS)
+        for key, arguments in DECLARATIONS.items():
+            assert found[key] == arguments, key
+
+
+class TestLongIntegers:
+    """Reports and emitted documents print integers past the interpreter's
+    4300-digit int-string limit, which stays in force for reading."""
+
+    AT = 30000  # class entries of about 6270 digits
+
+    @staticmethod
+    def expected_class() -> list[int]:
+        system = bimodule_system.load_system(load_data("fibonacci-abelian.json"))
+        return list(bimodule_system.class_at(system, (TestLongIntegers.AT,)).coords)
+
+    @staticmethod
+    def unlimited(text: str):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return json.loads(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_text_report(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["class", data("fibonacci-abelian.json"), "--at", str(self.AT)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        lines = capsys.readouterr().out.splitlines()
+        line = next(line for line in lines if line.startswith("class: "))
+        assert self.unlimited(line[len("class: "):]) == self.expected_class()
+
+    def test_json_report(self, capsys):
+        argv = ["class", data("fibonacci-abelian.json"), "--at", str(self.AT), "--json"]
+        assert main(argv) == 0
+        report = self.unlimited(capsys.readouterr().out)
+        assert report["payload"]["class"] == self.expected_class()
+
+    def test_interpreter_without_a_limit(self, monkeypatch, capsys):
+        # interpreters before the limit have no functions to lift it
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        assert main(["class", data("builtin-pair.json"), "--at", "2,3"]) == 0
+        assert "class: [2, 3]" in capsys.readouterr().out.splitlines()
+
+    def test_emitted_document(self, capsys):
+        argv = ["veronese", data("fibonacci-abelian.json"), "--strides", str(self.AT),
+                "--emit", "-"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert self.unlimited(text)["bimodules"][0]["divisor"] == self.expected_class()
+        # such a document holds integers longer than a reader accepts
+        with pytest.raises(scheme_model.ParseError, match="invalid JSON"):
+            scheme_model._as_dict(text)
 
 
 class TestLargeDocuments:

@@ -34,9 +34,12 @@ def golden_argvs() -> list[list[str]]:
         with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
             doc = json.load(fh)
         ones = ",".join(["1"] * len(doc["bimodules"]))
+        twos = ",".join(["2"] * len(doc["bimodules"]))
         argvs += [["validate", path], ["verdict", path],
                   ["verdict", path, "--bound", "4"], ["verdict", path, "--single"],
-                  ["gk", path], ["class", path, "--at", ones]]
+                  ["gk", path], ["class", path, "--at", ones],
+                  ["dual", path], ["veronese", path, "--strides", twos],
+                  ["rees", path], ["tensor", path, "data/p1-O1.json"]]
         if "oracle" in doc:
             argvs += [["oracle", "compare", path, "--range", "3", "--seed", seed]
                       for seed in ("0", "1")]

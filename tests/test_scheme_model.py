@@ -238,6 +238,27 @@ class TestLoadScheme:
         with pytest.raises(ParseError):
             load_scheme(doc)
 
+    def test_euler_degree_checked_before_basis_change(self, monkeypatch):
+        # the basis change of n^400 takes seconds; the degree check needs none
+        calls = []
+        convert = MultiPoly.from_monomials
+        monkeypatch.setattr(MultiPoly, "from_monomials", staticmethod(
+            lambda *args: calls.append(args) or convert(*args)))
+        doc = {"name": "x", "dim": 1, "rho": 1, "ample_cone": [[1]],
+               "euler": [{"coeff": "1", "exponents": [400]}]}
+        with pytest.raises(ParseError, match="^euler polynomial degree 400 exceeds dim 1$"):
+            load_scheme(doc)
+        # terms that cancel leave the degree of what remains
+        doc["dim"] = "2"
+        doc["euler"] += [{"coeff": "-1", "exponents": [400]},
+                         {"coeff": "3", "exponents": [3]}]
+        with pytest.raises(ParseError, match="^euler polynomial degree 3 exceeds dim 2$"):
+            load_scheme(doc)
+        assert calls == []
+        doc["dim"] = 3
+        assert load_scheme(doc).dim == 3
+        assert len(calls) == 1
+
     def test_not_json_object(self):
         with pytest.raises(ParseError):
             load_scheme("[1, 2]")

@@ -291,6 +291,19 @@ class TestRingStructure:
             assert images.cache_info().misses == len(set(requested)), make.__name__
             monkeypatch.undo()
 
+    def test_negative_multidegree_multiplies_as_zero(self):
+        # a piece of negative multidegree has no sections; pulling its zero
+        # section back along a map with denominator 2 adds no denominator
+        half = FactorAutomorphism.build([1], [[["1/2", "0"], ["0", "1"]]])
+        assert half.mobius[0][4] == 2
+        ring = OracleRing(1, [((-1,), half)])
+        zero = ring.element((1,), {})
+        product = ring.multiply(zero, zero)
+        assert product.grade == (2,)
+        assert (product.section.multidegree, product.section.codes,
+                product.section.den) == ((-2,), {}, 1)
+        assert pullback(half, zero.section) == MultiSection((-1,), {})
+
     def test_noncommuting_autos_rejected(self):
         rot = FactorAutomorphism.build([1], [[[0, -1], [1, 0]]])
         par = FactorAutomorphism.build([1], [[[1, 1], [0, 1]]])
