@@ -317,10 +317,10 @@ def _block_diag(a: Matrix, b: Matrix) -> Matrix:
 def load_system(document) -> BimoduleSystem:
     """Read a scheme-plus-bimodules JSON document."""
     doc = _as_dict(document)
-    scheme = load_scheme(doc)
     if "bimodules" not in doc or not doc["bimodules"]:
         raise ParseError("document has no bimodules member")
-    return BimoduleSystem(scheme, _read_bimodules(doc))
+    bimodules = _read_bimodules(doc)  # checked before the cone search
+    return BimoduleSystem(load_scheme(doc), bimodules)
 
 
 def _read_bimodules(doc: dict) -> tuple[Bimodule, ...]:

@@ -132,9 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args, report) -> int:
     doc = _load_input(args, report)
-    # load_system reads the scheme before the bimodules, so the first
-    # error is the same as from load_scheme alone; an oracle member is
-    # read from the bimodules, so it needs them too
+    # load_system reads the bimodules member before it builds the scheme,
+    # so a malformed bimodule entry is reported before a scheme fault; an
+    # oracle member is read from the bimodules, so it needs them too
     system = bs.load_system(doc) if "bimodules" in doc or "oracle" in doc else None
     scheme = load_scheme(doc) if system is None else system.scheme
     payload = {

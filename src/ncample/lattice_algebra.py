@@ -154,9 +154,11 @@ class UniPoly:
         if self.is_zero() or other.is_zero():
             return UniPoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return UniPoly.from_coeffs(out)
 
     def divide_exact(self, divisor: "UniPoly") -> "UniPoly | None":

@@ -453,16 +453,24 @@ def _least_certifying_shift(p: MultiPoly) -> int | None:
     if not constant or constant[-1] < 0 or any(vec[-1] < 0 for vec in trends.values()):
         return None
     checked = [constant] + [vec for vec in trends.values() if min(vec) < 0]
-    lo, hi = -1, 0  # lo fails (or is -1), hi is the next probe
-    while not _shift_certifies(checked, hi):
-        lo, hi = hi, 2 * hi + 1
+    return _least_passing(lambda t: _shift_certifies(checked, t), -1)[0]
+
+
+def _least_passing(test, lo: int):
+    """(t, test(t)) for the least t > lo at which test(t) is truthy, when
+    test stays truthy once it is: t gallops through lo + 1, lo + 2,
+    lo + 4, ... and bisects the last gap, in O(log(t - lo)) calls."""
+    start, step = lo, 1
+    while not (value := test(start + step)):
+        lo, step = start + step, 2 * step
+    hi = start + step  # lo fails (or is the start), hi passes with value
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _shift_certifies(checked, mid):
-            hi = mid
+        if found := test(mid):
+            hi, value = mid, found
         else:
             lo = mid
-    return hi
+    return hi, value
 
 
 def eventually_positive(p: MultiPoly, search_bound: int) -> PositivityResult:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import EmptyCone, ParseError, exact_int, exact_ints, int_tuple, strict_int
-from .numeric_polynomials import MultiPoly
+from .numeric_polynomials import MultiPoly, _least_passing
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ def _find_interior_point(rows, rho):
     Raises EmptyCone, with a Gordan certificate, when no real point has.
     The search tables are built once per cone. The unit box is searched
     before the projection is built, with the same first point: the
-    projected rows follow from the cone's, so they only prune."""
+    projected rows follow from the cone's, so they only prune. A box keeps
+    its points as it grows, so the least R is galloped and bisected."""
     levels = _cone_levels(rows, rho)
     point = _first_in_box(levels, 1)
     if point is not None:
@@ -139,11 +140,8 @@ def _find_interior_point(rows, rho):
     # a projected row of bounding[i] involves x[0..i] only: spread 0
     levels = [[(row[:i], row[i], 0) for row in bounding] + level
               for i, (bounding, level) in enumerate(zip(_project(rows, rho), levels))]
-    # a nonempty open cone holds integer points, so the walk ends
-    for radius in itertools.count(2):
-        point = _first_in_box(levels, radius)
-        if point is not None:
-            return point
+    # a nonempty open cone holds integer points, so the search ends
+    return _least_passing(functools.partial(_first_in_box, levels), 1)[1]
 
 
 def _cone_levels(rows, rho) -> list[list[tuple[tuple[int, ...], int, int]]]:

@@ -20,7 +20,7 @@ from .bimodule_system import (Bimodule, BimoduleSystem, _check_classes_commute,
                               _first_indices, _read_bimodules, _twisted_walk)
 from .errors import (DegreeMismatch, ParseError, exact_int, exact_ints, int_tuple,
                      strict_int)
-from .lattice_algebra import Matrix
+from .lattice_algebra import Matrix, UniPoly
 from .numeric_polynomials import _values
 from .scheme_model import DivisorClass, _as_dict, _rational, p1_power_scheme
 
@@ -318,27 +318,19 @@ class MultiSection:
         return MultiSection._trusted(deg, out, self.den * other.den)
 
 
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 @functools.lru_cache(maxsize=256, typed=True)
 def _factor_images(g: Mob, a: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For e = 0..a, den^a x^e y^(a-e) pulled back along g: the pairs
     (i, coefficient of x^i y^(a-i)) of the integer form
     (alpha x + beta y)^e (gamma x + delta y)^(a-e), nonzero ones only."""
     alpha, beta, gamma, delta, _ = g
-    # coefficient lists indexed by the exponent of x
-    x_powers = [[1]]
-    y_powers = [[1]]
+    # polynomials in x, with y set to 1
+    x_form, y_form = UniPoly.from_coeffs((beta, alpha)), UniPoly.from_coeffs((delta, gamma))
+    x_powers, y_powers = [UniPoly((1,))], [UniPoly((1,))]
     for _ in range(a):
-        x_powers.append(_poly_mul(x_powers[-1], [beta, alpha]))
-        y_powers.append(_poly_mul(y_powers[-1], [delta, gamma]))
-    return tuple(tuple((i, c) for i, c in enumerate(_poly_mul(x_powers[e], y_powers[a - e]))
+        x_powers.append(x_powers[-1] * x_form)
+        y_powers.append(y_powers[-1] * y_form)
+    return tuple(tuple((i, c) for i, c in enumerate((x_powers[e] * y_powers[a - e]).coeffs)
                        if c)
                  for e in range(a + 1))
 

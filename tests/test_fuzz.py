@@ -81,8 +81,11 @@ def listed_cases() -> list[tuple[str, dict]]:
     negative["bimodules"][0]["divisor"] = [-1, 0]
     steep = docs["p1-O1.json"]
     steep["euler"] = [{"coeff": "1", "exponents": [10 ** 6]}]
+    far = docs["trivial-triple.json"]
+    far["ample_cone"] = [[1, 0], [-10 ** 9, 1]]
     return [("swap-ring with a negative divisor", negative),
-            ("p1-O1 with Euler degree 10^6", steep)]
+            ("p1-O1 with Euler degree 10^6", steep),
+            ("trivial-triple with a cone row of -10^9", far)]
 
 
 class RunTooLong(Exception):

@@ -207,6 +207,19 @@ class TestCyclotomic:
             want[0], want[n] = -1, 1
             assert prod.coeffs == tuple(want)
 
+    def test_product_matches_dense_convolution(self):
+        # sparse factors, whose zero coefficients the product skips
+        rng = random.Random(5)
+        for _ in range(200):
+            p, q = ([rng.choice((0, 0, 0, rng.randint(-4, 4)))
+                     for _ in range(rng.randint(0, 7))] for _ in range(2))
+            want = [0] * max(len(p) + len(q) - 1, 0)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    want[i + j] += a * b
+            got = UniPoly.from_coeffs(p) * UniPoly.from_coeffs(q)
+            assert got == UniPoly.from_coeffs(want), (p, q)
+
 
 class TestQuasiUnipotent:
     def test_golden_matrices(self):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import run_python
+from ncample import scheme_model
 from ncample.bimodule_system import load_system
 from ncample.errors import EmptyCone, NotIntegerValued, ParseError
 from ncample.numeric_polynomials import MultiPoly
@@ -448,6 +449,18 @@ class TestConeSearch:
         with pytest.raises(EmptyCone) as info:
             cone_scheme([[1, 0], [0, 0]])
         assert info.value.certificate == (0, 1)
+
+    @pytest.mark.parametrize("far", [10 ** 6, 10 ** 9])
+    def test_far_cone_in_logarithmically_many_walks(self, far, monkeypatch):
+        # x > 0 and y > far x first hold at (1, far + 1), on shell far + 1;
+        # the radius is galloped and bisected, not walked one by one
+        walks = []
+        first_in_box = scheme_model._first_in_box
+        monkeypatch.setattr(scheme_model, "_first_in_box",
+                            lambda levels, radius: walks.append(radius)
+                            or first_in_box(levels, radius))
+        assert cone_scheme([[1, 0], [-far, 1]]).interior_point == (1, far + 1)
+        assert len(walks) <= 2 * math.log2(far + 1) + 4, walks
 
 
 _BAD_SCHEMES = """
